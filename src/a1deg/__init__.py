@@ -58,8 +58,6 @@ from .groebner import (
     DEGREVLEX,
     GroebnerBasis,
     groebner_basis,
-    ideal_intersection,
-    ideal_quotient,
     normal_form,
     primary_component,
     saturation,
@@ -118,8 +116,6 @@ __all__ = [
     "gram_matrix",
     "groebner_basis",
     "hilbert_symbol",
-    "ideal_intersection",
-    "ideal_quotient",
     "is_square",
     "local_degree",
     "local_degree_data",

@@ -65,7 +65,10 @@ def local_degree_data(
     """Degree at the closed point cut out by the given generators.
 
     The generators must define a maximal ideal (a single closed point, not
-    necessarily rational); every f_i must vanish there.
+    necessarily rational); every f_i must vanish there.  The degree is that
+    of the primary component of the system at the point.  A zero that is not
+    isolated has an infinite-dimensional local algebra and raises
+    NotZeroDimensionalError.
     """
     ring = _check_system(polys)
     for g in point:
@@ -77,7 +80,7 @@ def local_degree_data(
             raise PointNotOnZeroLocusError(
                 f"{f} does not vanish at the given point"
             )
-    component = primary_component(polys, point)
+    component = primary_component(polys, point_gb)
     return _degree_from_component(polys, component)
 
 

@@ -5,20 +5,21 @@ selection (smallest lcm first).  Output bases are reduced (auto-reduced, monic
 leading coefficients, sorted by leading monomial), hence unique for a given
 ideal and order, which keeps every downstream computation deterministic.
 
-Ideal quotient and saturation go through an elimination variable appended
-after the ring's own variables, ordered by the ``elimlast`` block order, using
-I cap J = (u*I + (1-u)*J) cap k[x].
+The primary component of an ideal I at an isolated zero, a maximal ideal m,
+is I + m^k for the first k at which the quotient dimension stops growing.
+Saturation eliminates Rabinowitsch variables under the ``lex`` order.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .errors import NotZeroDimensionalError, RingMismatchError, ZeroInputError
 from .polynomials import (
     DEGREVLEX,
-    ELIM_LAST,
+    LEX,
     MonomialOrder,
     Poly,
     PolyRing,
@@ -237,74 +238,68 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
 # ideal operations
 
 
-def _lift(ring: PolyRing, big: PolyRing, f: Poly) -> Poly:
-    images = {n: big.var(n) for n in ring.names}
-    return f.substitute(images, ring=big)
+def saturation(gens: GensLike, j_gens: GensLike) -> GroebnerBasis:
+    """(I : J^infinity) by one Rabinowitsch elimination.
 
+    With a fresh variable u_j for each generator g_j of J,
+    I : J^infinity = (I + (1 - sum_j u_j g_j)) cap k[x].  The u_j come first
+    in the ring, so a ``lex`` basis eliminates them.
+    """
+    gens = _gens(gens)
+    if not gens:
+        raise ZeroInputError("no generators")
+    ring = gens[0].ring
+    js = [g for g in _gens(j_gens) if g]
+    taken = ring.names + (ring.field.param_name,)
+    aux = tuple(fresh_name(taken, f"u{j}") for j in range(len(js)))
+    big = PolyRing(ring.field, aux + ring.names)
+    pad = (0,) * len(aux)
 
-def ideal_intersection(a: GensLike, b: GensLike) -> GroebnerBasis:
-    """Reduced degrevlex basis of the intersection of two ideals."""
-    a, b = _gens(a), _gens(b)
-    ring = a[0].ring
-    aux = fresh_name(ring.names, "u")
-    big = PolyRing(ring.field, ring.names + (aux,))
-    u = big.var(aux)
-    lifted = [u * _lift(ring, big, f) for f in a if f]
-    lifted += [(1 - u) * _lift(ring, big, g) for g in b if g]
-    if not lifted:
-        return GroebnerBasis(ring, DEGREVLEX, ())
-    elim = groebner_basis(lifted, ELIM_LAST)
-    down = []
-    for g in elim:
-        if all(m[-1] == 0 for m in g.terms):
-            down.append(Poly(ring, {m[:-1]: c for m, c in g.terms.items()}))
+    def lift(f: Poly) -> Poly:
+        return Poly(big, {pad + m: c for m, c in f.terms.items()})
+
+    rabinowitsch = big.one
+    for j, g in enumerate(js):
+        rabinowitsch = rabinowitsch - big.var(j) * lift(g)
+    elim = groebner_basis([lift(f) for f in gens] + [rabinowitsch], LEX)
+    down = [
+        Poly(ring, {m[len(aux) :]: c for m, c in g.terms.items()})
+        for g in elim
+        if not any(any(m[: len(aux)]) for m in g.terms)
+    ]
     if not down:
         return GroebnerBasis(ring, DEGREVLEX, ())
     return groebner_basis(down, DEGREVLEX)
 
 
-def ideal_quotient(gens: GensLike, g: Poly) -> GroebnerBasis:
-    """Reduced basis of (I : g) = (I cap (g)) / g."""
-    gens = _gens(gens)
-    if not g:
-        raise ZeroInputError("ideal quotient by zero")
-    meet = ideal_intersection(gens, [g])
-    if not len(meet):
-        return meet
-    return groebner_basis([f.exact_div(g) for f in meet], DEGREVLEX)
-
-
-def ideal_quotient_by_ideal(gens: GensLike, divisors: GensLike) -> GroebnerBasis:
-    """(I : J) for J spanned by the divisors: the meet of the (I : g)."""
-    out = None
-    for g in _gens(divisors):
-        if not g:
-            continue
-        q = ideal_quotient(gens, g)
-        out = q if out is None else ideal_intersection(out, q)
-    if out is None:
-        raise ZeroInputError("ideal quotient by the zero ideal")
-    return out
-
-
-def saturation(gens: GensLike, j_gens: GensLike) -> GroebnerBasis:
-    """(I : J^infinity), stabilized by reduced-basis equality."""
-    cur = groebner_basis(_gens(gens), DEGREVLEX)
-    while True:
-        nxt = ideal_quotient_by_ideal(cur, j_gens)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
-    """The primary component of a zero-dimensional I at the maximal ideal m.
+    """The primary component of I at the maximal ideal m, as I + m^k.
 
-    Computed as I : (I : m^infinity); the saturation strips the component at
-    m, and quotienting I by what is left isolates it again.
+    R/(I + m^k) is the local factor A_m of A = R/I once m^k A_m = 0.  The
+    quotient dimensions grow with k until m^k A_m = m^(k+1) A_m, and by
+    Nakayama that equality means m^k A_m = 0, so the first k whose dimension
+    repeats the previous one is exact.  An isolated zero has length at most
+    the Bezout bound, the product of the n largest generator degrees; a chain
+    that passes it belongs to a zero that is not isolated, and raises
+    NotZeroDimensionalError.
     """
-    away = saturation(gens, point_gens)
-    if away.is_whole_ring():
-        # every zero of I already lies at m
-        return groebner_basis(gens, DEGREVLEX)
-    return ideal_quotient_by_ideal(gens, away)
+    gens = [g for g in _gens(gens) if g]
+    point = groebner_basis(point_gens, DEGREVLEX)
+    degrees = sorted(g.total_degree() for g in gens)
+    bound = prod(degrees[-point.ring.nvars :])
+    # m^k as products of k generators of m with nondecreasing indices, each
+    # kept with the index of its last factor; a list, so the order is fixed
+    power = [(0, point.ring.one)]
+    prev = 0
+    for k in count(1):
+        power = [(j, p * point[j]) for i, p in power for j in range(i, len(point))]
+        component = groebner_basis(gens + [p for _, p in power], DEGREVLEX)
+        dim = component.quotient_dimension()
+        if dim == prev:
+            return component
+        if dim > bound:
+            raise NotZeroDimensionalError(
+                f"the local quotient R/(I + m^{k}) has dimension {dim},"
+                f" past the Bezout bound {bound}"
+            )
+        prev = dim

@@ -5,9 +5,8 @@ stores ``{monomial: coefficient}`` with raw field values (see ``fields``) and
 no explicit zero coefficients; the empty dict is the zero polynomial.
 
 Monomial orders are total orders realized as sort keys: ``degrevlex`` (the
-default everywhere), ``lex`` (handy when debugging eliminations), and
-``elimlast`` (a block order that makes the last variable largest, used to
-eliminate the auxiliary variable in ideal quotients).
+default everywhere) and ``lex`` (an elimination order for every leading block
+of variables, used to eliminate the auxiliary variables of a saturation).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def mono_deg(a: tuple) -> int:
 class MonomialOrder:
     """A monomial order as a sort key; larger key means larger monomial."""
 
-    KINDS = ("degrevlex", "lex", "elimlast")
+    KINDS = ("degrevlex", "lex")
 
     def __init__(self, kind: str) -> None:
         if kind not in self.KINDS:
@@ -64,10 +63,7 @@ class MonomialOrder:
     def key(self, m: tuple):
         if self.kind == "degrevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "lex":
-            return m
-        front = m[:-1]
-        return (m[-1], sum(front), tuple(-e for e in reversed(front)))
+        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialOrder) and other.kind == self.kind
@@ -81,7 +77,6 @@ class MonomialOrder:
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
-ELIM_LAST = MonomialOrder("elimlast")
 
 
 # ---------------------------------------------------------------------------

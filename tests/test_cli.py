@@ -120,6 +120,24 @@ def test_not_isolated_zeros_message(capsys):
     assert "zeros are not isolated" in err
 
 
+def test_non_isolated_local_zero_message(capsys):
+    code, out, err = run(
+        capsys,
+        "local",
+        "--field",
+        "Q",
+        "--vars",
+        "x,y",
+        "--system",
+        "x*y; x*y",
+        "--point",
+        "x; y",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("a1deg: groebner:")
+    assert "zeros are not isolated" in err
+
+
 def test_point_not_on_locus_message(capsys):
     code, out, err = run(
         capsys,

@@ -75,6 +75,39 @@ def test_not_zero_dimensional():
         global_degree([x * y, x * y])
 
 
+def test_local_degree_at_a_non_isolated_zero_raises():
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    with pytest.raises(NotZeroDimensionalError):
+        local_degree([x * y, x * y], [x, y])
+    # the line x = 0 passes through the origin; (1, 0) is an isolated zero
+    fs = [x * y, x * (x - ring.one)]
+    with pytest.raises(NotZeroDimensionalError):
+        local_degree(fs, [x, y])
+    assert local_degree(fs, [x - ring.one, y]) == GWClass.of(QQ, units=[-1])
+
+
+def test_fat_non_rational_point_in_three_variables():
+    # over F7, 3 is not a square: a length-8 component at the closed point
+    # x^2 = 3 (in the coordinates before the change) and a length-2 one at 1
+    F7 = GF(7)
+    ring = PolyRing(F7, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    u, v, w = x + z, y + 2 * x, z
+    fs = [(u * u - 3) ** 2 * (u - 1), (v - u) ** 2, w - u * v]
+    fat = [u * u - 3, v - u, w - 3]
+    simple = [u - 1, v - 1, w - 1]
+    gdata = global_degree_data(fs)
+    ldata = [local_degree_data(fs, pt) for pt in (fat, simple)]
+    assert [l.multiplicity for l in ldata] == [8, 2]
+    assert gdata.multiplicity == 8 + 2
+    assert gdata.gw == GWClass(F7, 5, ())
+    assert equals(ldata[0].gw, GWClass(F7, 4, ()))
+    assert ldata[1].gw == GWClass(F7, 1, ())
+    _, _, ok = check_local_global(fs, [fat, simple])
+    assert ok
+
+
 def test_node_example_local_global():
     ring = PolyRing(QQ, ("x1", "x2"))
     x1, x2 = ring.gens()

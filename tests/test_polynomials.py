@@ -15,7 +15,6 @@ from a1deg.errors import (
 from a1deg.fields import GF, QQ, FunctionField
 from a1deg.polynomials import (
     DEGREVLEX,
-    ELIM_LAST,
     LEX,
     PolyRing,
     fresh_name,
@@ -73,8 +72,6 @@ def test_degrevlex_ordering():
     assert DEGREVLEX.key(y) > DEGREVLEX.key(z)
     # lex: x beats any pure power of y
     assert LEX.key(x) > LEX.key(mono_mul(y, y))
-    # elimination order: last variable dominates everything
-    assert ELIM_LAST.key(z) > ELIM_LAST.key(mono_mul(mono_mul(x, x), y))
 
 
 def test_arithmetic_axioms_random():
