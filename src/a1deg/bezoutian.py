@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 
 from .errors import NonSquareSystemError, RingMismatchError, UnexpectedMonomialError
 from .fields import Scalar
-from .groebner import DEGREVLEX, GroebnerBasis, groebner_basis, normal_form
+from .groebner import (
+    DEGREVLEX,
+    GroebnerBasis,
+    groebner_basis,
+    prepare_divisors,
+    reduce_by,
+)
 from .polynomials import MonomialOrder, Poly, PolyRing, fresh_name
 
 
@@ -133,9 +139,9 @@ def delta_matrix(polys: Sequence[Poly], dbl: Optional[Doubling] = None) -> list[
     return out
 
 
-def _laplace(mat: Sequence[Sequence[Poly]], reducers, order) -> Poly:
-    """Determinant by Laplace expansion over column subsets; when reducers are
-    given, every partial minor is replaced by its normal form."""
+def _laplace(mat: Sequence[Sequence[Poly]], divisors, order) -> Poly:
+    """Determinant by Laplace expansion over column subsets; when prepared
+    divisors are given, every partial minor is replaced by its normal form."""
     n = len(mat)
     ring = mat[0][0].ring
     prev = {0: ring.one}
@@ -155,8 +161,8 @@ def _laplace(mat: Sequence[Sequence[Poly]], reducers, order) -> Poly:
                 key = mask | bit
                 acc = cur.get(key)
                 cur[key] = term if acc is None else acc + term
-        if reducers is not None:
-            cur = {k: normal_form(v, reducers, order) for k, v in cur.items()}
+        if divisors is not None:
+            cur = {k: reduce_by(v, divisors, order) for k, v in cur.items()}
         prev = cur
     return prev.get((1 << n) - 1, ring.zero)
 
@@ -211,7 +217,7 @@ def det_mod(
         raise NonSquareSystemError("matrix is not square")
     if n == 0:
         raise NonSquareSystemError("empty matrix")
-    return _laplace(mat, list(reducers), order)
+    return _laplace(mat, prepare_divisors(reducers, order), order)
 
 
 def doubled_reducers(gb: GroebnerBasis, dbl: Doubling) -> list[Poly]:

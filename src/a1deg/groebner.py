@@ -1,9 +1,14 @@
 """Groebner bases and the ideal operations the degree computations need.
 
 Buchberger's algorithm with the coprimality and chain criteria and normal
-selection (smallest lcm first).  Output bases are reduced (auto-reduced, monic
+selection (smallest lcm first, ties by pair index), with the pending S-pairs
+in a heap keyed once per pair.  Output bases are reduced (auto-reduced, monic
 leading coefficients, sorted by leading monomial), hence unique for a given
 ideal and order, which keeps every downstream computation deterministic.
+
+Division prepares each divisor once as (leading monomial, leading
+coefficient, tail terms) and keeps the pending terms of the dividend in a
+heap, so every monomial's order key is computed once, when it first appears.
 
 The primary component of an ideal I at an isolated zero, a maximal ideal m,
 is I + m^k for the first k at which the quotient dimension stops growing.
@@ -12,7 +17,8 @@ Saturation eliminates Rabinowitsch variables under the ``lex`` order.
 
 from __future__ import annotations
 
-from itertools import count, product
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import prod
 from typing import Iterable, Sequence, Union
 
@@ -32,51 +38,93 @@ from .polynomials import (
 
 GensLike = Union["GroebnerBasis", Sequence[Poly]]
 
+# A divisor prepared for division: (leading monomial, leading coefficient,
+# the other terms as (monomial, coefficient) pairs).
+Divisor = tuple
 
-def normal_form(
-    f: Poly, basis: Iterable[Poly], order: MonomialOrder = DEGREVLEX
+
+def _prepare(g: Poly, order: MonomialOrder) -> Divisor:
+    lm = g.leading_monomial(order)
+    return lm, g.terms[lm], [(m, c) for m, c in g.terms.items() if m != lm]
+
+
+def prepare_divisors(
+    basis: Iterable[Poly], order: MonomialOrder = DEGREVLEX
+) -> list[Divisor]:
+    """The nonzero divisors of a basis, in list order, prepared for reduce_by."""
+    return [_prepare(g, order) for g in basis if g]
+
+
+def _sub_multiple(k, work: dict, q_mono: tuple, q_c, tail) -> list[tuple]:
+    """work -= q_c * x^q_mono * tail; returns the monomials new to work."""
+    new = []
+    for m2, c2 in tail:
+        mono = mono_mul(q_mono, m2)
+        c = k.mul(q_c, c2)
+        cur = work.get(mono)
+        if cur is None:
+            work[mono] = k.neg(c)
+            new.append(mono)
+        else:
+            s = k.sub(cur, c)
+            if k.is_zero(s):
+                del work[mono]
+            else:
+                work[mono] = s
+    return new
+
+
+def reduce_by(
+    f: Poly, divisors: Sequence[Divisor], order: MonomialOrder = DEGREVLEX
 ) -> Poly:
-    """Remainder of f under division by basis (unique when basis is a GB)."""
+    """Remainder of f under division by prepared divisors.
+
+    The largest pending term is reduced by the first divisor in list order
+    whose leading monomial divides it, and kept in the remainder when none
+    does.
+    """
     k = f.ring.field
-    divisors = [
-        (g.leading_monomial(order), g.terms[g.leading_monomial(order)], g.terms)
-        for g in basis
-        if g
-    ]
+    key = order.descending_key
     work = dict(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     rem: dict = {}
-    while work:
-        lm = max(work, key=order.key)
-        lc = work.pop(lm)
-        for g_lm, g_lc, g_terms in divisors:
+    while heap:
+        lm = heappop(heap)[1]
+        # a monomial cancelled earlier may still sit in the heap
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
+        for g_lm, g_lc, g_tail in divisors:
             if mono_divides(g_lm, lm):
                 q_mono = mono_quot(lm, g_lm)
-                q_c = k.div(lc, g_lc)
-                for m2, c2 in g_terms.items():
-                    if m2 == g_lm:
-                        continue
-                    mono = mono_mul(q_mono, m2)
-                    c = k.mul(q_c, c2)
-                    cur = work.get(mono)
-                    s = k.sub(cur, c) if cur is not None else k.neg(c)
-                    if k.is_zero(s):
-                        if cur is not None:
-                            del work[mono]
-                    else:
-                        work[mono] = s
+                for m in _sub_multiple(k, work, q_mono, k.div(lc, g_lc), g_tail):
+                    heappush(heap, (key(m), m))
                 break
         else:
             rem[lm] = lc
     return Poly(f.ring, rem)
 
 
+def normal_form(
+    f: Poly, basis: Iterable[Poly], order: MonomialOrder = DEGREVLEX
+) -> Poly:
+    """Remainder of f under division by basis (unique when basis is a GB)."""
+    return reduce_by(f, prepare_divisors(basis, order), order)
+
+
+def _s_poly(ring: PolyRing, a: Divisor, b: Divisor) -> Poly:
+    k = ring.field
+    (la, ca, ta), (lb, cb, tb) = a, b
+    l = mono_lcm(la, lb)
+    work: dict = {}
+    _sub_multiple(k, work, mono_quot(l, la), k.neg(k.inv(ca)), ta)
+    _sub_multiple(k, work, mono_quot(l, lb), k.inv(cb), tb)
+    return Poly(ring, work)
+
+
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
-    k = f.ring.field
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    l = mono_lcm(lf, lg)
-    a = Poly(f.ring, {mono_quot(l, lf): k.inv(f.terms[lf])})
-    b = Poly(f.ring, {mono_quot(l, lg): k.inv(g.terms[lg])})
-    return a * f - b * g
+    return _s_poly(f.ring, _prepare(f, order), _prepare(g, order))
 
 
 class GroebnerBasis:
@@ -134,27 +182,30 @@ class GroebnerBasis:
         return all(seen)
 
     def quotient_basis(self) -> list[tuple]:
-        """Standard monomials of R/I, sorted ascending in the basis order."""
+        """Standard monomials of R/I, sorted ascending in the basis order.
+
+        They form an order ideal, so a walk from 1 that multiplies each
+        standard monomial by its last variable and every later one reaches
+        each of them exactly once.
+        """
         if self.is_whole_ring():
             return []
-        n = self.ring.nvars
-        lms = self.leading_monomials()
-        bounds = [None] * n
-        for lm in lms:
-            nz = [i for i, e in enumerate(lm) if e]
-            if len(nz) == 1:
-                i = nz[0]
-                if bounds[i] is None or lm[i] < bounds[i]:
-                    bounds[i] = lm[i]
-        if any(b is None for b in bounds):
+        if not self.is_zero_dimensional():
             raise NotZeroDimensionalError(
                 "the ideal does not cut out finitely many points"
             )
-        out = [
-            mono
-            for mono in product(*(range(b) for b in bounds))
-            if not any(mono_divides(lm, mono) for lm in lms)
-        ]
+        n = self.ring.nvars
+        lms = self.leading_monomials()
+        out = [((0,) * n, 0)]
+        i = 0
+        while i < len(out):
+            mono, last = out[i]
+            i += 1
+            for v in range(last, n):
+                step = mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
+                if not any(mono_divides(lm, step) for lm in lms):
+                    out.append((step, v))
+        out = [mono for mono, _ in out]
         out.sort(key=self.order.key)
         return out
 
@@ -178,23 +229,31 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
-        if g and g.monic(order) not in basis:
-            basis.append(g.monic(order))
+        if g:
+            g = g.monic(order)
+            if g not in basis:
+                basis.append(g)
     if not basis:
         return GroebnerBasis(ring, order, ())
 
-    lms = [g.leading_monomial(order) for g in basis]
+    divisors = prepare_divisors(basis, order)
+    lms = [d[0] for d in divisors]
+    # pending pairs: the dict answers the chain criterion's membership tests,
+    # the heap yields the smallest (lcm, i, j); both hold the same pairs
     pairs: dict[tuple[int, int], tuple] = {}
+    heap: list[tuple] = []
 
     def add_pairs(j: int) -> None:
         for i in range(j):
-            pairs[(i, j)] = mono_lcm(lms[i], lms[j])
+            lcm = mono_lcm(lms[i], lms[j])
+            pairs[(i, j)] = lcm
+            heappush(heap, (order.key(lcm), i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (order.key(pairs[ij]), ij))
+    while heap:
+        _, i, j = heappop(heap)
         lcm_ij = pairs.pop((i, j))
         # coprime leading monomials: the S-polynomial reduces to zero
         if lcm_ij == mono_mul(lms[i], lms[j]):
@@ -210,27 +269,25 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
                 break
         if skip:
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        h = reduce_by(_s_poly(ring, divisors[i], divisors[j]), divisors, order)
         if h:
-            basis.append(h.monic(order))
-            lms.append(h.leading_monomial(order))
+            h = h.monic(order)
+            basis.append(h)
+            divisors.append(_prepare(h, order))
+            lms.append(divisors[-1][0])
             add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
-    keep: list[Poly] = []
-    keep_lms: list[tuple] = []
+    keep: list[int] = []
     for idx in sorted(range(len(basis)), key=lambda i: order.key(lms[i])):
-        lm = lms[idx]
-        if any(mono_divides(other, lm) for other in keep_lms):
-            continue
-        keep.append(basis[idx])
-        keep_lms.append(lm)
-    # tail-reduce each element against the others
+        if not any(mono_divides(lms[other], lms[idx]) for other in keep):
+            keep.append(idx)
+    # tail-reduce each element against the others; keep is sorted by leading
+    # monomial, and tail reduction leaves leading monomials alone
     reduced = []
-    for idx, g in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    for pos, idx in enumerate(keep):
+        others = [divisors[o] for o in keep[:pos] + keep[pos + 1 :]]
+        reduced.append(reduce_by(basis[idx], others, order).monic(order))
     return GroebnerBasis(ring, order, reduced)
 
 

@@ -4,7 +4,8 @@ A monomial is an exponent tuple, one entry per ring variable.  A ``Poly``
 stores ``{monomial: coefficient}`` with raw field values (see ``fields``) and
 no explicit zero coefficients; the empty dict is the zero polynomial.
 
-Monomial orders are total orders realized as sort keys: ``degrevlex`` (the
+Monomial orders are total orders realized as sort keys (ascending, and
+descending for min-heaps): ``degrevlex`` (the
 default everywhere) and ``lex`` (an elimination order for every leading block
 of variables, used to eliminate the auxiliary variables of a saturation).
 """
@@ -64,6 +65,12 @@ class MonomialOrder:
         if self.kind == "degrevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         return m
+
+    def descending_key(self, m: tuple):
+        """A key that sorts larger monomials first, for min-heaps."""
+        if self.kind == "degrevlex":
+            return (-sum(m), m[::-1])
+        return tuple(-e for e in m)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialOrder) and other.kind == self.kind

@@ -1,11 +1,14 @@
 """Tests for Buchberger, quotient bases, primary components and saturation."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from a1deg.errors import NotZeroDimensionalError, ZeroInputError
 from a1deg.fields import GF, QQ
+from a1deg.grassmannian import coordinate_forms, section_system
 from a1deg.groebner import (
     GroebnerBasis,
     groebner_basis,
@@ -14,7 +17,16 @@ from a1deg.groebner import (
     s_polynomial,
     saturation,
 )
-from a1deg.polynomials import DEGREVLEX, LEX, PolyRing
+from a1deg.polynomials import (
+    DEGREVLEX,
+    LEX,
+    MonomialOrder,
+    Poly,
+    PolyRing,
+    mono_divides,
+    mono_mul,
+    mono_quot,
+)
 
 
 def rand_poly(rng, ring, max_deg=3, terms=4):
@@ -23,10 +35,54 @@ def rand_poly(rng, ring, max_deg=3, terms=4):
         mono = [0] * ring.nvars
         for _ in range(rng.randrange(max_deg + 1)):
             mono[rng.randrange(ring.nvars)] += 1
-        p = p + ring.const(rng.randrange(ring.field.characteristic)) * ring.monomial(
-            tuple(mono)
-        )
+        char = ring.field.characteristic
+        c = rng.randrange(char) if char else rng.randint(-9, 9)
+        p = p + ring.const(c) * ring.monomial(tuple(mono))
     return p
+
+
+def naive_normal_form(f, basis, order):
+    """Division that rescans the dividend for its largest term at every step
+    and reduces it by the first divisor in list order that divides it."""
+    k = f.ring.field
+    divisors = [(g.leading_monomial(order), g) for g in basis if g]
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        lm = max(work, key=order.key)
+        lc = work.pop(lm)
+        for g_lm, g in divisors:
+            if mono_divides(g_lm, lm):
+                q_mono = mono_quot(lm, g_lm)
+                q_c = k.div(lc, g.terms[g_lm])
+                for m2, c2 in g.terms.items():
+                    if m2 == g_lm:
+                        continue
+                    mono = mono_mul(q_mono, m2)
+                    s = k.sub(work.get(mono, k.from_int(0)), k.mul(q_c, c2))
+                    if k.is_zero(s):
+                        work.pop(mono, None)
+                    else:
+                        work[mono] = s
+                break
+        else:
+            rem[lm] = lc
+    return Poly(f.ring, rem)
+
+
+def box_quotient_basis(gb):
+    """Standard monomials by filtering the box that the pure powers bound."""
+    bounds = [
+        min(lm[i] for lm in gb.leading_monomials() if lm[i] and sum(lm) == lm[i])
+        for i in range(gb.ring.nvars)
+    ]
+    lms = gb.leading_monomials()
+    out = [
+        mono
+        for mono in product(*(range(b) for b in bounds))
+        if not any(mono_divides(lm, mono) for lm in lms)
+    ]
+    return sorted(out, key=gb.order.key)
 
 
 def test_known_basis_two_vars():
@@ -78,6 +134,95 @@ def test_quotient_basis_box():
     assert names == ["1", "y", "x", "y^2", "x*y", "x*y^2"]
 
 
+def test_quotient_basis_walks_non_rectangular_staircases():
+    R = PolyRing(QQ, ["x", "y", "z"])
+    staircases = [
+        ["x^3", "x*y^2", "y^4", "z"],
+        ["x^2", "y^3", "z^2", "x*y*z", "y^2*z"],
+        ["x^4", "x^2*y", "y^2", "x*z", "z^3 - x*y"],
+    ]
+    for gens in staircases:
+        gb = groebner_basis([R.parse(g) for g in gens])
+        assert gb.quotient_basis() == box_quotient_basis(gb)
+    rng = random.Random(31)
+    for field in (QQ, GF(101)):
+        for n in (2, 3):
+            S = PolyRing(field, [f"x{i}" for i in range(n)])
+            for _ in range(4):
+                gb = groebner_basis([rand_poly(rng, S, 2, 4) for _ in range(n)])
+                if gb.is_zero_dimensional() and not gb.is_whole_ring():
+                    assert gb.quotient_basis() == box_quotient_basis(gb)
+
+
+def test_normal_form_matches_naive_division():
+    # non-Groebner divisor lists pin the first-divisor-in-list rule
+    rng = random.Random(17)
+    for field in (QQ, GF(7)):
+        R = PolyRing(field, ["x", "y", "z"])
+        for order in (DEGREVLEX, LEX):
+            for _ in range(12):
+                divisors = [rand_poly(rng, R, 3, 3) for _ in range(rng.randrange(1, 5))]
+                gb = groebner_basis(divisors, order)
+                for basis in (divisors, list(gb), divisors[::-1]):
+                    for _ in range(3):
+                        f = rand_poly(rng, R, 5, 8)
+                        assert normal_form(f, basis, order) == naive_normal_form(
+                            f, basis, order
+                        )
+
+
+def sympy_basis(sympy, gens):
+    """sympy's reduced grevlex basis of gens, back in the ring of gens."""
+    ring = gens[0].ring
+    symbols = sympy.symbols(ring.names)
+    p = ring.field.characteristic
+    opts = {"modulus": p} if p else {"domain": "QQ"}
+    exprs = [
+        sympy.Poly.from_dict(
+            {m: sympy.Rational(str(c)) for m, c in f.terms.items()}, *symbols, **opts
+        ).as_expr()
+        for f in gens
+    ]
+    basis = sympy.groebner(exprs, *symbols, order="grevlex", **opts)
+    return [
+        ring.poly({m: Fraction(str(c)) for m, c in terms})
+        for terms in (sympy.Poly(g, *symbols, **opts).terms() for g in basis.exprs)
+    ]
+
+
+def test_groebner_basis_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(101)
+    for field in (QQ, GF(101)):
+        for n in (2, 3, 4):
+            R = PolyRing(field, [f"x{i}" for i in range(n)])
+            for _ in range(3):
+                gens = [rand_poly(rng, R, 2, 3) + R.var(i) ** 2 for i in range(n)]
+                gb = groebner_basis(gens)
+                assert gb.is_zero_dimensional()
+                theirs = [g.monic() for g in sympy_basis(sympy, gens)]
+                theirs.sort(key=lambda g: DEGREVLEX.key(g.leading_monomial()))
+                assert list(gb) == theirs
+
+
+def test_pair_selection_keys_each_monomial_once(monkeypatch):
+    # an operation count, not a timing: rescanning the pending pairs or the
+    # dividend for every step costs about 9.5e5 key calls on this system
+    calls = [0]
+    for name in ("key", "descending_key"):
+        original = getattr(MonomialOrder, name)
+
+        def counted(self, m, original=original):
+            calls[0] += 1
+            return original(self, m)
+
+        monkeypatch.setattr(MonomialOrder, name, counted)
+    F = GF(101)
+    gb = groebner_basis(section_system(F, 3, 6, coordinate_forms(F, 6)))
+    assert len(gb) == 52
+    assert calls[0] < 150_000
+
+
 def test_determinism_under_generator_shuffles():
     rng = random.Random(23)
     F = GF(7)
@@ -108,8 +253,6 @@ def test_buchberger_certificate_and_reducedness():
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 assert not gb.normal_form(s_polynomial(polys[i], polys[j]))
-        from a1deg.polynomials import mono_divides
-
         lms = gb.leading_monomials()
         for i, g in enumerate(polys):
             assert g.leading_coefficient() == 1
