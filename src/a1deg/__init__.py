@@ -7,7 +7,7 @@ Grassmannians.  Everything is exact: no floating point, no randomness except
 where explicitly seeded.
 """
 
-from .bezoutian import bezoutian, delta_matrix, det, det_mod, double, gram_matrix
+from .bezoutian import bezoutian, delta_matrix, det_mod, gram_matrix
 from .degree import (
     DegreeData,
     apply_matrix,
@@ -31,7 +31,6 @@ from .errors import (
     PointNotOnZeroLocusError,
     RetriesExhaustedError,
     RingMismatchError,
-    UnexpectedMonomialError,
     UnsupportedFieldError,
     ZeroInputError,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "RetriesExhaustedError",
     "RingMismatchError",
     "Scalar",
-    "UnexpectedMonomialError",
     "UnsupportedFieldError",
     "ZeroInputError",
     "apply_matrix",
@@ -105,10 +103,8 @@ __all__ = [
     "closed_form_table",
     "compose",
     "delta_matrix",
-    "det",
     "det_mod",
     "diagonalize",
-    "double",
     "equals",
     "euler_characteristic",
     "global_degree",

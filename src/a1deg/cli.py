@@ -35,7 +35,6 @@ from .errors import (
     PointNotOnZeroLocusError,
     RetriesExhaustedError,
     RingMismatchError,
-    UnexpectedMonomialError,
     UnsupportedFieldError,
     ZeroInputError,
 )
@@ -50,7 +49,6 @@ _STAGES: list[tuple[type, str]] = [
     (FieldMismatchError, "field"),
     (NotZeroDimensionalError, "groebner"),
     (DegenerateFormError, "degenerate"),
-    (UnexpectedMonomialError, "degenerate"),
     (PointNotOnZeroLocusError, "input"),
     (IncompleteCoverError, "input"),
     (NonSquareSystemError, "input"),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bezoutian import _check_system, bezoutian, gram_matrix
+from .bezoutian import _check_system, bezoutian
 from .errors import (
     IncompleteCoverError,
     PointNotOnZeroLocusError,
@@ -95,8 +95,7 @@ def _degree_from_component(
     basis = component.quotient_basis()
     if not basis:
         return DegreeData(GWClass(field, 0, ()), [], [], component)
-    bez, dbl = bezoutian(polys, component)
-    gram = gram_matrix(bez, dbl, basis)
+    gram = bezoutian(polys, component, basis)
     return DegreeData(class_of_gram(field, gram), gram, basis, component)
 
 

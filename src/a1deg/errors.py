@@ -41,10 +41,6 @@ class NonSquareSystemError(A1DegError):
     """The number of polynomials does not match the number of variables."""
 
 
-class UnexpectedMonomialError(A1DegError):
-    """A reduced polynomial contains a monomial outside the expected basis."""
-
-
 class DegenerateFormError(A1DegError):
     """A symmetric bilinear form that must be nondegenerate is not."""
 
