@@ -354,9 +354,12 @@ class Rationals(Field):
         return None
 
     def square_class_raw(self, a):
-        m = a.numerator * a.denominator  # same square class as a
-        s = -1 if m < 0 else 1
-        return Fraction(s * squarefree_part(abs(m)))
+        # a = n/d is in the class of n*d; n and d are coprime, so their
+        # squarefree parts multiply to that of n*d without factoring it
+        s = -1 if a < 0 else 1
+        return Fraction(
+            s * squarefree_part(abs(a.numerator)) * squarefree_part(a.denominator)
+        )
 
     def signature_sign_raw(self, a) -> int:
         return 1 if a > 0 else -1

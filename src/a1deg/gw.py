@@ -37,7 +37,6 @@ from .fields import (
     signature_sign,
     square_class,
 )
-from .linalg import symmetric_diagonalize
 
 
 @dataclass(frozen=True)
@@ -176,18 +175,45 @@ def simplify(field: Field, entries: Sequence[Scalar]) -> GWClass:
 
 def diagonalize(gram: Sequence[Sequence[Scalar]], field: Field) -> list[Scalar]:
     """Diagonal entries of a congruent diagonal form; the form must be
-    nondegenerate."""
+    nondegenerate.
+
+    Works on raw field values.  Each pivot replaces the block below and to
+    the right of it by its Schur complement, which stays symmetric, so only
+    the pivot row is read.  A zero pivot is first replaced by a later
+    nonzero diagonal entry, or else made 2*m[p][l] by adding row and column
+    l to row and column p.
+    """
     n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise DegenerateFormError("Gram matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i][j] != gram[j][i]:
-                raise DegenerateFormError("Gram matrix is not symmetric")
-    diag, _ = symmetric_diagonalize(gram, field)
-    if any(not d for d in diag):
-        raise DegenerateFormError("bilinear form is degenerate")
+    if any(len(row) != n for row in gram):
+        raise DegenerateFormError("Gram matrix is not square")
+    m = [[field.coerce(x) for x in row] for row in gram]
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise DegenerateFormError("Gram matrix is not symmetric")
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    diag = []
+    for p in range(n):
+        if is_zero(m[p][p]):
+            l = next((l for l in range(p + 1, n) if not is_zero(m[l][l])), None)
+            if l is not None:
+                m[p], m[l] = m[l], m[p]
+                for row in m[p:]:
+                    row[p], row[l] = row[l], row[p]
+            else:
+                l = next((l for l in range(p + 1, n) if not is_zero(m[p][l])), None)
+                if l is None:
+                    raise DegenerateFormError("bilinear form is degenerate")
+                for row in m[p:]:
+                    row[p] = add(row[p], row[l])
+                m[p][p:] = [add(a, b) for a, b in zip(m[p][p:], m[l][p:])]
+        row = m[p]
+        inv = field.inv(row[p])
+        nonzero = [j for j in range(p + 1, n) if not is_zero(row[j])]
+        for k, i in enumerate(nonzero):
+            c = field.neg(mul(row[i], inv))
+            mi = m[i]
+            for j in nonzero[k:]:
+                mi[j] = m[j][i] = add(mi[j], mul(c, row[j]))
+        diag.append(Scalar(field, row[p]))
     return diag
 
 
@@ -253,10 +279,12 @@ def _rational_diagonal_ints(c: GWClass) -> list[int]:
     return out
 
 
-def _relevant_primes(entries: Iterable[int]) -> list[int]:
+def _relevant_primes(classes: Iterable[GWClass]) -> list[int]:
     primes = {2}
-    for e in entries:
-        primes.update(factorize(abs(e)))
+    for c in classes:
+        for s in c.diagonal():
+            primes.update(factorize(abs(s.value.numerator)))
+            primes.update(factorize(s.value.denominator))
     return sorted(primes)
 
 
@@ -275,7 +303,7 @@ def equals(a: GWClass, b: GWClass) -> bool:
             return False
         da = _rational_diagonal_ints(a)
         db = _rational_diagonal_ints(b)
-        for p in _relevant_primes(da + db):
+        for p in _relevant_primes((a, b)):
             if hasse_invariant(da, p) != hasse_invariant(db, p):
                 return False
         return True

@@ -3,14 +3,10 @@
 Each test is one release gate and prints a single PASS/FAIL line (visible
 with ``pytest -s``); the assertion carries the same line so failures are
 self-describing.  Gates with a runtime budget assert their wall-clock
-limits.  Environment knobs for the expensive table row:
-
-  A1DEG_SKIP_N6=1             skip the n = 6 Euler-characteristic attempts
-  A1DEG_N6_BUDGET_SECONDS=N   per-cell budget for n = 6 (default 600)
+limits.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -35,8 +31,8 @@ from a1deg.grassmannian import (
 )
 from a1deg.groebner import DEGREVLEX, groebner_basis
 from a1deg.gw import GWClass, class_of_gram, equals
-from a1deg.linalg import mat_inverse, scalar_det
 from a1deg.polynomials import PolyRing
+from matrices import mat_inverse, scalar_det
 
 F7 = GF(7)
 
@@ -177,7 +173,12 @@ def test_criterion_5_grassmannian_2_4():
     )
 
 
-def _attempt_cell_subprocess(r: int, n: int, budget: float):
+# Each n = 6 cell finishes in well under a second; a cell that runs this long
+# has hung.
+N6_BUDGET_SECONDS = 60
+
+
+def _attempt_cell_subprocess(r: int, n: int):
     """Compute one Euler cell in a child so a hard budget can be enforced."""
     script = (
         "import json, sys\n"
@@ -191,7 +192,7 @@ def _attempt_cell_subprocess(r: int, n: int, budget: float):
             [sys.executable, "-c", script, str(r), str(n)],
             capture_output=True,
             text=True,
-            timeout=budget,
+            timeout=N6_BUDGET_SECONDS,
         )
     except subprocess.TimeoutExpired:
         return None
@@ -215,24 +216,18 @@ def test_criterion_6_table_slice():
             details.append(f"({r},{n}) gave {got}")
     for n in range(2, 6):
         ok = ok and closed_form(QQ, n, n) == GWClass.of(QQ, 0, (QQ.one,))
-    if os.environ.get("A1DEG_SKIP_N6"):
-        details.append("n=6 attempts skipped by A1DEG_SKIP_N6")
-    else:
-        budget = float(os.environ.get("A1DEG_N6_BUDGET_SECONDS", "600"))
-        completed = 0
-        for r in range(1, 6):
-            got = _attempt_cell_subprocess(r, 6, budget)
-            if got is None:
-                details.append(f"(r={r},n=6) did not finish within {budget:.0f}s")
-                continue
-            completed += 1
-            cell_ok = equals(got, known_class(r, 6)) and equals(
-                got, closed_form(QQ, r, 6)
-            )
-            ok = ok and cell_ok
-            if not cell_ok:
-                details.append(f"({r},6) gave {got}")
-        details.append(f"n=6 cells completed: {completed}/5")
+    for r in range(1, 6):
+        got = _attempt_cell_subprocess(r, 6)
+        if got is None:
+            ok = False
+            details.append(f"(r={r},n=6) did not finish within {N6_BUDGET_SECONDS}s")
+            continue
+        cell_ok = equals(got, known_class(r, 6)) and equals(
+            got, closed_form(QQ, r, 6)
+        )
+        ok = ok and cell_ok
+        if not cell_ok:
+            details.append(f"({r},6) gave {got}")
     report("criterion 6 (table slice n <= 6)", ok, "; ".join(details) or "all cells")
 
 

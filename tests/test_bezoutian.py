@@ -8,8 +8,8 @@ from a1deg.fields import GF, QQ, FunctionField, Scalar
 from a1deg.grassmannian import coordinate_forms, random_forms, section_system
 from a1deg.groebner import DEGREVLEX, groebner_basis, normal_form, primary_component
 from a1deg.gw import GWClass, class_of_gram, equals
-from a1deg.linalg import scalar_det
 from a1deg.polynomials import Poly, PolyRing, mono_mul
+from matrices import scalar_det
 
 
 def random_poly(rng, ring, max_deg=2, terms=4, coeffs=None):

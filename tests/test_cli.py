@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -189,3 +191,25 @@ def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["global", "--field", "Q"])
     assert exc.value.code == 2
+
+
+def test_runtime_loads_only_the_standard_library():
+    """Importing a1deg and running a README example loads no module outside
+    the standard library.  Modules are compared against a snapshot taken
+    before the import, because site hooks may preload third-party ones."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import a1deg\n"
+        "from a1deg.cli import main\n"
+        "code = main(['euler', '--r', '2', '--n', '4', '--field', 'Q', '--seed', '7'])\n"
+        "foreign = sorted(\n"
+        "    m for m in set(sys.modules) - before\n"
+        "    if m.partition('.')[0] not in sys.stdlib_module_names | {'a1deg'}\n"
+        ")\n"
+        "print(code, foreign)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2H + <1,1>\n0 []\n", "")

@@ -106,11 +106,44 @@ def test_rational_square_class():
     assert square_class(QQ.scalar(-50)) == -2
     assert square_class(QQ.scalar(Fraction(45, 28))) == 35
     assert square_class(QQ.scalar(1)) == 1
+    assert square_class(QQ.scalar(Fraction(-9, 8))) == -2
     # representative stays in the same square class
-    for a in (Fraction(8, 3), Fraction(-50), Fraction(45, 28)):
+    for a in (Fraction(8, 3), Fraction(-50), Fraction(45, 28), Fraction(-9, 8)):
         s = QQ.scalar(a)
         ok, _ = is_square(s / square_class(s))
         assert ok
+
+
+def test_rational_square_class_factors_numerator_and_denominator_apart(monkeypatch):
+    """The product of a coprime numerator and denominator is often a hard
+    semiprime: factoring it made random Q sections of Gr(2,4) never return.
+    No factorize call may receive such a product."""
+    from a1deg import fields, gw
+    from a1deg.grassmannian import euler_characteristic, random_forms
+
+    products = set()
+    calls = []
+    class_raw, factor = fields.Rationals.square_class_raw, fields.factorize
+
+    def recording_class_raw(self, a):
+        if abs(a.numerator) > 1 and a.denominator > 1:
+            products.add(abs(a.numerator) * a.denominator)
+        return class_raw(self, a)
+
+    def recording_factorize(n):
+        calls.append(n)
+        # fail here rather than after the call: factoring these can hang
+        assert n not in products, f"factorize got numerator * denominator {n}"
+        return factor(n)
+
+    monkeypatch.setattr(fields.Rationals, "square_class_raw", recording_class_raw)
+    monkeypatch.setattr(fields, "factorize", recording_factorize)
+    monkeypatch.setattr(gw, "factorize", recording_factorize)
+    for seed in (4, 7):
+        forms = random_forms(QQ, 4, random.Random(seed))
+        c = euler_characteristic(QQ, 2, 4, forms=forms)
+        assert (c.rank, c.signature()) == (6, 2)
+    assert products and calls
 
 
 def test_signature_sign_rationals():

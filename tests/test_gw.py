@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from a1deg.gw import (
     render_text,
     simplify,
 )
-from a1deg.linalg import identity_matrix, mat_inverse, mat_mul, symmetric_diagonalize, transpose
+from matrices import diagonalize_with_witness, identity_matrix, mat_inverse, mat_mul, transpose
 
 
 def scal(field, rows):
@@ -41,8 +42,6 @@ def test_simplify_keeps_anisotropic_entries():
 def test_simplify_canonicalizes_square_classes():
     c = GWClass.of(QQ, units=[8, 27])
     assert [str(u) for u in c.units] == ["2", "3"]
-    from fractions import Fraction
-
     c = GWClass.of(QQ, units=[Fraction(45, 28)])
     assert [str(u) for u in c.units] == ["35"]
 
@@ -74,7 +73,8 @@ def test_simplify_rejects_zero_entry():
 
 def test_diagonalize_hyperbolic_gram():
     g = scal(QQ, [[0, 1], [1, 0]])
-    diag, s = symmetric_diagonalize(g, QQ)
+    diag, s = diagonalize_with_witness(g, QQ)
+    assert diagonalize(g, QQ) == diag == [QQ.scalar(2), QQ.scalar(Fraction(-1, 2))]
     assert mat_mul(mat_mul(transpose(s), g), s) == [
         [diag[0], QQ.zero],
         [QQ.zero, diag[1]],
@@ -83,27 +83,46 @@ def test_diagonalize_hyperbolic_gram():
 
 
 def test_diagonalize_random_symmetric_with_witness():
+    """gw.diagonalize returns, value for value, the diagonal of the reference
+    elimination, whose base change S witnesses S^T G S = diag.  Zero diagonals
+    (hyperbolic blocks) exercise both zero-pivot rules."""
     rng = random.Random(5)
-    for _ in range(15):
-        n = rng.randrange(1, 5)
-        g = None
-        while g is None:
-            cand = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-            sym = [
-                [QQ.scalar(cand[i][j] + cand[j][i]) for j in range(n)]
-                for i in range(n)
-            ]
+    F7 = GF(7)
+    K = FunctionField(GF(3), "t")
+    t = K.gen()
+    entries = [
+        (QQ, lambda: QQ.scalar(rng.randrange(-4, 5))),
+        (F7, lambda: F7.scalar(rng.randrange(7))),
+        (K, lambda: K.scalar(rng.randrange(3)) + K.scalar(rng.randrange(3)) * t),
+    ]
+    for field, entry in entries:
+        checked = degenerate = 0
+        while checked < 15:
+            n = rng.randrange(1, 6)
+            zero_diagonal = rng.choice(["none", "all", "some"])
+            g = [[field.zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j and (
+                        zero_diagonal == "all"
+                        or (zero_diagonal == "some" and rng.randrange(2))
+                    ):
+                        continue
+                    g[i][j] = g[j][i] = entry()
+            ref, s = diagonalize_with_witness(g, field)
             try:
-                diagonalize(sym, QQ)
+                diag = diagonalize(g, field)
             except DegenerateFormError:
+                assert not all(ref)
+                degenerate += 1
                 continue
-            g = sym
-        diag, s = symmetric_diagonalize(g, QQ)
-        prod = mat_mul(mat_mul(transpose(s), g), s)
-        for i in range(n):
-            for j in range(n):
-                expect = diag[i] if i == j else QQ.zero
-                assert prod[i][j] == expect
+            assert [d.value for d in diag] == [d.value for d in ref]
+            prod = mat_mul(mat_mul(transpose(s), g), s)
+            for i in range(n):
+                for j in range(n):
+                    assert prod[i][j] == (diag[i] if i == j else field.zero)
+            checked += 1
+        assert degenerate
 
 
 def test_class_is_congruence_invariant():
@@ -138,6 +157,10 @@ def test_degenerate_and_malformed_grams():
         diagonalize(scal(QQ, [[0, 1], [2, 0]]), QQ)
     with pytest.raises(DegenerateFormError):
         diagonalize(scal(QQ, [[1, 0, 0], [0, 1, 0]]), QQ)
+    with pytest.raises(DegenerateFormError):
+        diagonalize(scal(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]), QQ)
+    with pytest.raises(DegenerateFormError):
+        diagonalize(scal(GF(7), [[1, 2], [2, 4]]), GF(7))
 
 
 def test_invariants_frozen():

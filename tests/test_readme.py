@@ -1,4 +1,4 @@
-"""The README's command-line examples print exactly what it shows."""
+"""The README's examples print exactly what it shows."""
 
 import shlex
 from pathlib import Path
@@ -49,3 +49,24 @@ def test_readme_example(capsys, argv, stdout):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, stdout, "")
+
+
+def library_example():
+    """The source of the Library use block, and the output that the comments
+    on its print lines show."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library use") :]
+    start = section.index("```python\n") + len("```python\n")
+    source = section[start : section.index("```", start)]
+    shown = [
+        line.partition("#")[2].strip()
+        for line in source.splitlines()
+        if line.startswith("print(")
+    ]
+    return source, shown
+
+
+def test_readme_library_example(capsys):
+    source, shown = library_example()
+    exec(source, {})
+    assert capsys.readouterr().out.splitlines() == shown == ["H 2 0 -1"]
