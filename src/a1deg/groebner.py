@@ -7,8 +7,15 @@ leading coefficients, sorted by leading monomial), hence unique for a given
 ideal and order, which keeps every downstream computation deterministic.
 
 Division prepares each divisor once as (leading monomial, leading
-coefficient, tail terms) and keeps the pending terms of the dividend in a
-heap, so every monomial's order key is computed once, when it first appears.
+coefficient, tail terms, short exponent vector) and keeps the pending terms
+of the dividend in a heap, so every monomial's order key is computed once,
+when it first appears.
+
+Every divisibility test is prefiltered by short exponent vectors (Bachmann
+and Schoenemann, ISSAC 1998): two bits per variable, set when its exponent
+is at least 1 and at least 2, so that a | b is possible only when
+sev(a) & ~sev(b) == 0.  The mask rejects most failing tests with one integer
+operation; the exact ``mono_divides`` decides every test it lets through.
 
 The primary component of an ideal I at an isolated zero, a maximal ideal m,
 is I + m^k for the first k at which the quotient dimension stops growing.
@@ -39,13 +46,27 @@ from .polynomials import (
 GensLike = Union["GroebnerBasis", Sequence[Poly]]
 
 # A divisor prepared for division: (leading monomial, leading coefficient,
-# the other terms as (monomial, coefficient) pairs).
+# the other terms as (monomial, coefficient) pairs, short exponent vector of
+# the leading monomial).
 Divisor = tuple
+
+
+def _sev(m: tuple) -> int:
+    """Short exponent vector: bits 2i and 2i+1 say m[i] >= 1 and m[i] >= 2.
+
+    a | b implies sev(a) & ~sev(b) == 0, and the converse holds when every
+    exponent is at most 2.
+    """
+    s = 0
+    for e in reversed(m):
+        s = s << 2 | (3 if e > 1 else e)
+    return s
 
 
 def _prepare(g: Poly, order: MonomialOrder) -> Divisor:
     lm = g.leading_monomial(order)
-    return lm, g.terms[lm], [(m, c) for m, c in g.terms.items() if m != lm]
+    tail = [(m, c) for m, c in g.terms.items() if m != lm]
+    return lm, g.terms[lm], tail, _sev(lm)
 
 
 def prepare_divisors(
@@ -95,8 +116,9 @@ def reduce_by(
         lc = work.pop(lm, None)
         if lc is None:
             continue
-        for g_lm, g_lc, g_tail in divisors:
-            if mono_divides(g_lm, lm):
+        not_lm = ~_sev(lm)
+        for g_lm, g_lc, g_tail, g_sev in divisors:
+            if not g_sev & not_lm and mono_divides(g_lm, lm):
                 q_mono = mono_quot(lm, g_lm)
                 for m in _sub_multiple(k, work, q_mono, k.div(lc, g_lc), g_tail):
                     heappush(heap, (key(m), m))
@@ -115,7 +137,7 @@ def normal_form(
 
 def _s_poly(ring: PolyRing, a: Divisor, b: Divisor) -> Poly:
     k = ring.field
-    (la, ca, ta), (lb, cb, tb) = a, b
+    (la, ca, ta, _), (lb, cb, tb, _) = a, b
     l = mono_lcm(la, lb)
     work: dict = {}
     _sub_multiple(k, work, mono_quot(l, la), k.neg(k.inv(ca)), ta)
@@ -195,7 +217,7 @@ class GroebnerBasis:
                 "the ideal does not cut out finitely many points"
             )
         n = self.ring.nvars
-        lms = self.leading_monomials()
+        lms = [(lm, _sev(lm)) for lm in self.leading_monomials()]
         out = [((0,) * n, 0)]
         i = 0
         while i < len(out):
@@ -203,7 +225,10 @@ class GroebnerBasis:
             i += 1
             for v in range(last, n):
                 step = mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
-                if not any(mono_divides(lm, step) for lm in lms):
+                not_step = ~_sev(step)
+                if not any(
+                    not s & not_step and mono_divides(lm, step) for lm, s in lms
+                ):
                     out.append((step, v))
         out = [mono for mono, _ in out]
         out.sort(key=self.order.key)
@@ -238,6 +263,7 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
 
     divisors = prepare_divisors(basis, order)
     lms = [d[0] for d in divisors]
+    sevs = [d[3] for d in divisors]
     # pending pairs: the dict answers the chain criterion's membership tests,
     # the heap yields the smallest (lcm, i, j); both hold the same pairs
     pairs: dict[tuple[int, int], tuple] = {}
@@ -258,10 +284,12 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
         # coprime leading monomials: the S-polynomial reduces to zero
         if lcm_ij == mono_mul(lms[i], lms[j]):
             continue
-        # chain criterion: some k divides the lcm and both pairs are settled
+        # chain criterion: some k divides the lcm and both pairs are settled;
+        # the lcm's short exponent vector is the union of i's and j's
+        not_lcm = ~(sevs[i] | sevs[j])
         skip = False
         for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lms[k], lcm_ij):
+            if k in (i, j) or sevs[k] & not_lcm or not mono_divides(lms[k], lcm_ij):
                 continue
             a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
             if a not in pairs and b not in pairs:
@@ -275,12 +303,17 @@ def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> Groebner
             basis.append(h)
             divisors.append(_prepare(h, order))
             lms.append(divisors[-1][0])
+            sevs.append(divisors[-1][3])
             add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
     keep: list[int] = []
     for idx in sorted(range(len(basis)), key=lambda i: order.key(lms[i])):
-        if not any(mono_divides(lms[other], lms[idx]) for other in keep):
+        not_idx = ~sevs[idx]
+        if not any(
+            not sevs[other] & not_idx and mono_divides(lms[other], lms[idx])
+            for other in keep
+        ):
             keep.append(idx)
     # tail-reduce each element against the others; keep is sorted by leading
     # monomial, and tail reduction leaves leading monomials alone

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -60,6 +61,16 @@ class GWClass:
 
     def disc(self) -> Scalar:
         """Square class of the discriminant (-1)^h * u_1 * ... * u_r."""
+        if isinstance(self.field, Rationals):
+            # the canonical units are squarefree integers with a sign, and for
+            # squarefree a, b with g = gcd(a, b) the squarefree part of a*b is
+            # (a/g)*(b/g), so the product is never factored
+            acc = -1 if self.hyperbolic % 2 else 1
+            for u in self.units:
+                a = u.value.numerator
+                g = gcd(acc, a)
+                acc = (acc // g) * (a // g)
+            return self.field.scalar(acc)
         acc = self.field.one
         if self.hyperbolic % 2:
             acc = -acc

@@ -7,12 +7,15 @@ limits.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import a1deg
 from a1deg.bezoutian import bezoutian
 from a1deg.degree import (
     apply_matrix,
@@ -187,12 +190,16 @@ def _attempt_cell_subprocess(r: int, n: int):
         "gw = euler_characteristic(QQ, int(sys.argv[1]), int(sys.argv[2]))\n"
         "print(json.dumps(gw.to_json()))\n"
     )
+    # the child imports the same a1deg as this process
+    src = str(Path(a1deg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-c", script, str(r), str(n)],
             capture_output=True,
             text=True,
             timeout=N6_BUDGET_SECONDS,
+            env={**os.environ, "PYTHONPATH": path},
         )
     except subprocess.TimeoutExpired:
         return None

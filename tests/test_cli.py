@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import a1deg
 from a1deg.cli import main, rerender_json
 
 
@@ -209,7 +212,14 @@ def test_runtime_loads_only_the_standard_library():
         ")\n"
         "print(code, foreign)\n"
     )
+    # the child imports the same a1deg as this process
+    src = str(Path(a1deg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2H + <1,1>\n0 []\n", "")

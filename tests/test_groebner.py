@@ -6,11 +6,13 @@ from itertools import product
 
 import pytest
 
+from a1deg import groebner
 from a1deg.errors import NotZeroDimensionalError, ZeroInputError
 from a1deg.fields import GF, QQ
 from a1deg.grassmannian import coordinate_forms, section_system
 from a1deg.groebner import (
     GroebnerBasis,
+    _sev,
     groebner_basis,
     normal_form,
     primary_component,
@@ -169,6 +171,29 @@ def test_normal_form_matches_naive_division():
                         assert normal_form(f, basis, order) == naive_normal_form(
                             f, basis, order
                         )
+    # six variables and exponents above 2, where the short-exponent-vector
+    # prefilter lets through monomials that the exact test then rejects
+    rng = random.Random(29)
+    inexact = 0
+    for field in (QQ, GF(7)):
+        R = PolyRing(field, [f"x{i}" for i in range(6)])
+        for order in (DEGREVLEX, LEX):
+            for _ in range(12):
+                divisors = [rand_poly(rng, R, 4, 3) for _ in range(rng.randrange(1, 4))]
+                gb = groebner_basis(divisors, order)
+                for basis in (divisors, list(gb), divisors[::-1]):
+                    lms = [g.leading_monomial(order) for g in basis if g]
+                    for _ in range(3):
+                        f = rand_poly(rng, R, 7, 8)
+                        assert normal_form(f, basis, order) == naive_normal_form(
+                            f, basis, order
+                        )
+                        inexact += sum(
+                            not _sev(a) & ~_sev(b) and not mono_divides(a, b)
+                            for a in lms
+                            for b in f.terms
+                        )
+    assert inexact
 
 
 def sympy_basis(sympy, gens):
@@ -221,6 +246,43 @@ def test_pair_selection_keys_each_monomial_once(monkeypatch):
     gb = groebner_basis(section_system(F, 3, 6, coordinate_forms(F, 6)))
     assert len(gb) == 52
     assert calls[0] < 150_000
+
+
+def test_short_exponent_vectors_never_reject_a_divisor():
+    rng = random.Random(43)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        a = tuple(rng.randint(0, 5) for _ in range(n))
+        b = tuple(rng.randint(0, 5) for _ in range(n))
+        multiple = tuple(rng.randint(e, 5) for e in a)
+        for x, y in ((a, b), (b, a), (a, multiple)):
+            if mono_divides(x, y):
+                assert not _sev(x) & ~_sev(y)
+        # exact when no exponent passes 2
+        small_a = tuple(min(e, 2) for e in a)
+        small_b = tuple(min(e, 2) for e in b)
+        assert mono_divides(small_a, small_b) == (not _sev(small_a) & ~_sev(small_b))
+
+
+def test_divisibility_tests_pass_the_mask_first(monkeypatch):
+    # an operation count, not a timing: without the short-exponent-vector
+    # prefilter this basis makes 58,465 exact tests and its staircase 2,420;
+    # with it, 1,772 and 64.  The split bounds catch a site that loses its
+    # mask: unmasked minimalization alone would make 3,097 in the basis.
+    calls = [0]
+    exact = groebner.mono_divides
+
+    def counted(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(groebner, "mono_divides", counted)
+    F = GF(101)
+    gb = groebner_basis(section_system(F, 3, 6, coordinate_forms(F, 6)))
+    in_basis = calls[0]
+    assert len(gb.quotient_basis()) == 20
+    assert calls[0] < 6_000
+    assert in_basis < 2_500 and calls[0] - in_basis < 500
 
 
 def test_determinism_under_generator_shuffles():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -204,6 +205,42 @@ def test_invariants_respect_operations():
         p = a * b
         assert p.rank == a.rank * b.rank
         assert p.signature() == a.signature() * b.signature()
+
+
+def test_rational_disc_folds_units_without_factoring(monkeypatch):
+    """Random Q sections of Gr(2,4) have units of up to 136 bits, and their
+    product was too hard to factor: disc() and to_json() never returned."""
+    from a1deg import fields, gw
+    from a1deg.grassmannian import euler_characteristic, random_forms
+
+    for seed in (4, 7):
+        forms = random_forms(QQ, 4, random.Random(seed))
+        c = euler_characteristic(QQ, 2, 4, forms=forms)
+
+        def no_factoring(n):
+            raise AssertionError(f"disc() factored {n}")
+
+        with monkeypatch.context() as m:
+            m.setattr(fields, "factorize", no_factoring)
+            m.setattr(gw, "factorize", no_factoring)
+            d = c.disc()
+            assert c.to_json()["disc"] == str(d)
+        product = (-1) ** c.hyperbolic * prod(u.value for u in c.units)
+        q = product / d.value
+        assert q.denominator == 1 and q > 0 and isqrt(q.numerator) ** 2 == q
+
+
+def test_rational_disc_matches_square_class_of_the_product():
+    from a1deg.fields import square_class
+
+    rng = random.Random(19)
+    for _ in range(200):
+        units = [rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(rng.randrange(6))]
+        c = GWClass.of(QQ, rng.randrange(3), units)
+        ref = QQ.one if c.hyperbolic % 2 == 0 else -QQ.one
+        for u in c.units:
+            ref = ref * u
+        assert c.disc() == square_class(ref)
 
 
 def test_hilbert_symbol_frozen_values():
