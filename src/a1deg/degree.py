@@ -14,20 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bezoutian import _check_system, bezoutian
-from .errors import (
-    IncompleteCoverError,
-    PointNotOnZeroLocusError,
-    RingMismatchError,
-)
+from .errors import IncompleteCoverError, RingMismatchError
 from .fields import Scalar
-from .groebner import (
-    DEGREVLEX,
-    GroebnerBasis,
-    groebner_basis,
-    primary_component,
-)
+from .groebner import DEGREVLEX, GroebnerBasis, groebner_basis, primary_component
 from .gw import GWClass, class_of_gram
-from .polynomials import Poly, PolyRing
+from .polynomials import Poly
 
 
 @dataclass(frozen=True)
@@ -70,18 +61,8 @@ def local_degree_data(
     isolated has an infinite-dimensional local algebra and raises
     NotZeroDimensionalError.
     """
-    ring = _check_system(polys)
-    for g in point:
-        if g.ring != ring:
-            raise RingMismatchError("point generators live in a different ring")
-    point_gb = groebner_basis(point, DEGREVLEX)
-    for f in polys:
-        if not point_gb.contains(f):
-            raise PointNotOnZeroLocusError(
-                f"{f} does not vanish at the given point"
-            )
-    component = primary_component(polys, point_gb)
-    return _degree_from_component(polys, component)
+    _check_system(polys)
+    return _degree_from_component(polys, primary_component(polys, point))
 
 
 def local_degree(polys: Sequence[Poly], point: Sequence[Poly]) -> GWClass:

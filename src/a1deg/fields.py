@@ -719,11 +719,6 @@ class FunctionField(Field):
             self, ((self.base.from_int(0), self.base.from_int(1)), (self.base.from_int(1),))
         )
 
-    def from_poly(self, coeffs) -> Scalar:
-        """Build the polynomial element sum(coeffs[i] * t^i)."""
-        num = tuple(self.base.coerce(c) for c in coeffs)
-        return Scalar(self, self._make(num, (self.base.from_int(1),)))
-
     def coerce(self, x):
         if isinstance(x, Scalar):
             if x.field == self:

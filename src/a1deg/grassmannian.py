@@ -23,6 +23,7 @@ small retry cap so failures stay loud and deterministic.
 from __future__ import annotations
 
 import random
+from itertools import chain, count, islice
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -138,16 +139,10 @@ def _candidates(
     rng: random.Random,
     cap: int,
 ) -> Iterator[Forms]:
-    produced = 0
-    if forms is not None and produced < cap:
-        yield forms
-        produced += 1
-    if produced < cap:
-        yield coordinate_forms(field, n)
-        produced += 1
-    while produced < cap:
-        yield random_forms(field, n, rng)
-        produced += 1
+    explicit = [] if forms is None else [forms]
+    draws = (random_forms(field, n, rng) for _ in count())
+    candidates = chain(explicit, [coordinate_forms(field, n)], draws)
+    return islice(candidates, max(cap, 0))
 
 
 def closed_form(field: Field, r: int, n: int) -> GWClass:

@@ -29,7 +29,12 @@ from itertools import count
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import NotZeroDimensionalError, RingMismatchError, ZeroInputError
+from .errors import (
+    NotZeroDimensionalError,
+    PointNotOnZeroLocusError,
+    RingMismatchError,
+    ZeroInputError,
+)
 from .polynomials import (
     DEGREVLEX,
     LEX,
@@ -238,15 +243,9 @@ class GroebnerBasis:
         return len(self.quotient_basis())
 
 
-def _gens(gens: GensLike) -> list[Poly]:
-    if isinstance(gens, GroebnerBasis):
-        return list(gens.polys)
-    return list(gens)
-
-
 def groebner_basis(gens: GensLike, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span."""
-    gens = _gens(gens)
+    gens = list(gens)
     if not gens:
         raise ZeroInputError("no generators")
     ring = gens[0].ring
@@ -335,11 +334,11 @@ def saturation(gens: GensLike, j_gens: GensLike) -> GroebnerBasis:
     I : J^infinity = (I + (1 - sum_j u_j g_j)) cap k[x].  The u_j come first
     in the ring, so a ``lex`` basis eliminates them.
     """
-    gens = _gens(gens)
+    gens = list(gens)
     if not gens:
         raise ZeroInputError("no generators")
     ring = gens[0].ring
-    js = [g for g in _gens(j_gens) if g]
+    js = [g for g in j_gens if g]
     taken = ring.names + (ring.field.param_name,)
     aux = tuple(fresh_name(taken, f"u{j}") for j in range(len(js)))
     big = PolyRing(ring.field, aux + ring.names)
@@ -365,6 +364,9 @@ def saturation(gens: GensLike, j_gens: GensLike) -> GroebnerBasis:
 def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
     """The primary component of I at the maximal ideal m, as I + m^k.
 
+    Every generator of I must lie in the ring of the point and vanish there,
+    so I + m = m and the chain starts at k = 1 with the basis of m itself;
+    otherwise RingMismatchError or PointNotOnZeroLocusError is raised.
     R/(I + m^k) is the local factor A_m of A = R/I once m^k A_m = 0.  The
     quotient dimensions grow with k until m^k A_m = m^(k+1) A_m, and by
     Nakayama that equality means m^k A_m = 0, so the first k whose dimension
@@ -373,17 +375,21 @@ def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
     that passes it belongs to a zero that is not isolated, and raises
     NotZeroDimensionalError.
     """
-    gens = [g for g in _gens(gens) if g]
+    gens = [g for g in gens if g]
     point = groebner_basis(point_gens, DEGREVLEX)
+    for f in gens:
+        if f.ring != point.ring:
+            raise RingMismatchError("point generators live in a different ring")
+        if not point.contains(f):
+            raise PointNotOnZeroLocusError(f"{f} does not vanish at the given point")
     degrees = sorted(g.total_degree() for g in gens)
     bound = prod(degrees[-point.ring.nvars :])
     # m^k as products of k generators of m with nondecreasing indices, each
     # kept with the index of its last factor; a list, so the order is fixed
-    power = [(0, point.ring.one)]
+    power = list(enumerate(point))
+    component = point
     prev = 0
     for k in count(1):
-        power = [(j, p * point[j]) for i, p in power for j in range(i, len(point))]
-        component = groebner_basis(gens + [p for _, p in power], DEGREVLEX)
         dim = component.quotient_dimension()
         if dim == prev:
             return component
@@ -393,3 +399,5 @@ def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
                 f" past the Bezout bound {bound}"
             )
         prev = dim
+        power = [(j, p * point[j]) for i, p in power for j in range(i, len(point))]
+        component = groebner_basis(gens + [p for _, p in power], DEGREVLEX)

@@ -2,16 +2,18 @@
 
 A class is stored as ``h`` copies of the hyperbolic plane H plus a tuple of
 rank-one forms <u_1>, ..., <u_r> whose entries are canonical square-class
-representatives.  Simplification folds every pair <u>, <v> with -uv a square
-into a copy of H; the surviving multiset of square classes is independent of
-the pairing order, so the stored shape is canonical and ``==`` is structural.
+representatives.  Over a prime field rank and discriminant fix the class, and
+simplification returns the one shape they determine, so there ``==`` agrees
+with ``equals``.  Over other fields simplification folds every pair <u>, <v>
+with -uv a square into a copy of H, which is deterministic but not
+canonical: over the rationals 6H + <2,3,6> and 6H + <1,1,1> are the same
+class.
 
 Equality of the underlying forms is decided by field-specific invariants:
 rank and discriminant over a finite field; rank, signature, discriminant and
 Hasse invariants (via Hilbert symbols) over the rationals.  Over rational
-function fields only the canonical shape is compared, which is sound but may
-miss exotic equalities; every class this package produces is already in
-canonical shape, so that is enough in practice.
+function fields only the stored shape is compared, which is sound but misses
+every equality that the greedy fold does not expose.
 """
 
 from __future__ import annotations
@@ -153,11 +155,15 @@ def _same_field(a: GWClass, b: GWClass) -> None:
 
 
 def simplify(field: Field, entries: Sequence[Scalar]) -> GWClass:
-    """Fold hyperbolic pairs out of a diagonal form and canonicalize the rest.
+    """Fold hyperbolic pairs out of a diagonal form <u_1, ..., u_r>.
 
-    <u> + <v> is hyperbolic exactly when -uv is a square, and the multiset of
-    surviving square classes does not depend on which eligible pair is folded
-    first, so a greedy sweep gives the canonical answer.
+    Over F_p the result is canonical.  With d = u_1 * ... * u_r it is
+    ((r-1)/2)H + <(-1)^((r-1)/2) d> for odd r, and for even r it is (r/2)H
+    when (-1)^(r/2) d is a square, else (r/2 - 1)H + <1, (-1)^(r/2 - 1) d>,
+    each unit written as 1 or the least nonresidue.  Over other fields
+    <u> + <v> is folded into H whenever -uv is a square, greedily, and each
+    survivor is replaced by its square-class representative; that shape is
+    not canonical (over Q, <2,3,6> and <1,1,1> are the same class).
     """
     pool: list[Scalar] = []
     for e in entries:
@@ -165,6 +171,8 @@ def simplify(field: Field, entries: Sequence[Scalar]) -> GWClass:
         if not s:
             raise ZeroInputError("zero diagonal entry in a bilinear form")
         pool.append(s)
+    if isinstance(field, PrimeField):
+        return _prime_field_class(field, pool)
     pool.sort(key=lambda s: field.sort_key(s.value))
     used = [False] * len(pool)
     h = 0
@@ -182,6 +190,19 @@ def simplify(field: Field, entries: Sequence[Scalar]) -> GWClass:
     survivors = [square_class(pool[i]) for i in range(len(pool)) if not used[i]]
     survivors.sort(key=lambda s: field.sort_key(s.value))
     return GWClass(field, h, tuple(survivors))
+
+
+def _prime_field_class(field: PrimeField, pool: Sequence[Scalar]) -> GWClass:
+    h, odd = divmod(len(pool), 2)
+    d = field.one if h % 2 == 0 else -field.one
+    for u in pool:
+        d = d * u
+    # d is now (-1)^h times the discriminant
+    if odd:
+        return GWClass(field, h, (square_class(d),))
+    if is_square(d)[0]:
+        return GWClass(field, h, ())
+    return GWClass(field, h - 1, (field.one, square_class(-d)))
 
 
 def diagonalize(gram: Sequence[Sequence[Scalar]], field: Field) -> list[Scalar]:

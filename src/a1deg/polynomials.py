@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     InexactDivisionError,
@@ -45,10 +45,6 @@ def mono_quot(b: tuple, a: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_deg(a: tuple) -> int:
-    return sum(a)
 
 
 class MonomialOrder:
@@ -355,17 +351,6 @@ class Poly:
             return self
         inv = k.inv(lc)
         return Poly(self.ring, {m: k.mul(c, inv) for m, c in self.terms.items()})
-
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[tuple, Scalar]]:
-        """Terms as (monomial, coefficient), largest monomial first."""
-        k = self.ring.field
-        return [
-            (m, Scalar(k, self.terms[m]))
-            for m in sorted(self.terms, key=order.key, reverse=True)
-        ]
-
-    def monomials(self) -> Iterator[tuple]:
-        return iter(self.terms)
 
     # -- calculus and morphisms
 

@@ -102,7 +102,7 @@ def test_fat_non_rational_point_in_three_variables():
     assert [l.multiplicity for l in ldata] == [8, 2]
     assert gdata.multiplicity == 8 + 2
     assert gdata.gw == GWClass(F7, 5, ())
-    assert equals(ldata[0].gw, GWClass(F7, 4, ()))
+    assert ldata[0].gw == GWClass(F7, 4, ())
     assert ldata[1].gw == GWClass(F7, 1, ())
     _, _, ok = check_local_global(fs, [fat, simple])
     assert ok
@@ -149,6 +149,27 @@ def test_point_must_lie_on_zero_locus():
     (x,) = ring.gens()
     with pytest.raises(PointNotOnZeroLocusError):
         local_degree([x], [x - ring.one])
+
+
+def test_simple_zero_takes_two_groebner_bases(monkeypatch):
+    # one basis for the point and one for I + m^2; I + m is the point itself
+    import a1deg.degree
+    import a1deg.groebner
+
+    calls = []
+    real = a1deg.groebner.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (a1deg.degree, a1deg.groebner):
+        monkeypatch.setattr(module, "groebner_basis", counting)
+    ring = PolyRing(QQ, ("x", "y"))
+    fs = [ring.parse("x^2 + y^2 - 2"), ring.parse("x - y")]
+    data = local_degree_data(fs, [ring.parse("x - 1"), ring.parse("y - 1")])
+    assert data.multiplicity == 1
+    assert len(calls) == 2
 
 
 def test_incomplete_cover_detected():

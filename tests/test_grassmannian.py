@@ -123,6 +123,30 @@ def test_retries_exhausted_on_hopeless_forms():
         euler_characteristic(QQ, 2, 4, forms=zeros, max_attempts=1)
 
 
+def test_candidates_come_explicit_coordinate_then_seeded(monkeypatch):
+    import a1deg.grassmannian as grassmannian
+
+    zeros = [[0] * 4 for _ in range(4)]
+    seen = []
+    real = grassmannian.section_system
+
+    def recording(field, r, n, forms):
+        seen.append(forms)
+        # every candidate gets the non-generic section, so all three are tried
+        return real(field, r, n, zeros)
+
+    monkeypatch.setattr(grassmannian, "section_system", recording)
+    with pytest.raises(RetriesExhaustedError):
+        euler_characteristic(QQ, 2, 4, seed=3, forms=zeros, max_attempts=3)
+    first_draw = random_forms(QQ, 4, random.Random("grassmann:3:2:4"))
+    assert seen == [zeros, coordinate_forms(QQ, 4), first_draw]
+    seen.clear()
+    for cap in (0, -1):
+        with pytest.raises(RetriesExhaustedError):
+            euler_characteristic(QQ, 2, 4, max_attempts=cap)
+    assert seen == []
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         section_ring(QQ, 0, 4)

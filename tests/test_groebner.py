@@ -7,7 +7,12 @@ from itertools import product
 import pytest
 
 from a1deg import groebner
-from a1deg.errors import NotZeroDimensionalError, ZeroInputError
+from a1deg.errors import (
+    NotZeroDimensionalError,
+    PointNotOnZeroLocusError,
+    RingMismatchError,
+    ZeroInputError,
+)
 from a1deg.fields import GF, QQ
 from a1deg.grassmannian import coordinate_forms, section_system
 from a1deg.groebner import (
@@ -396,3 +401,16 @@ def test_primary_component_when_ideal_is_local():
     gens = [R.parse("x^3")]
     comp = primary_component(gens, [R.var("x")])
     assert comp == groebner_basis(gens)
+
+
+def test_primary_component_checks_the_point():
+    R = PolyRing(QQ, ["x", "y"])
+    gens = [R.parse("x^2 - y"), R.parse("x*y - 1")]
+    with pytest.raises(PointNotOnZeroLocusError, match="does not vanish"):
+        primary_component(gens, [R.var("x"), R.var("y")])
+    S = PolyRing(QQ, ["x", "y", "z"])
+    with pytest.raises(RingMismatchError, match="point generators"):
+        primary_component(gens, [S.parse("x - 1"), S.parse("y - 1"), S.var("z")])
+    # at a simple zero the component is the point itself
+    point = [R.parse("x - 1"), R.parse("y - 1")]
+    assert primary_component(gens, point) == groebner_basis(point)

@@ -67,6 +67,29 @@ def test_simplify_finite_field():
     assert c == GWClass(F5, 1, ())  # -1 = 4 = 2^2 mod 5
 
 
+def test_prime_field_classes_are_canonical():
+    # over F_p a class is fixed by rank and discriminant, so == must agree
+    # with equals; p = 3, 7, 11 are the primes where -1 is not a square
+    rng = random.Random(5)
+    for p in (3, 5, 7, 11, 13, 101):
+        F = GF(p)
+        nonresidue = F.scalar(F.nonresidue())
+        classes = [
+            GWClass.of(F, rng.randrange(3), [rng.randrange(1, p) for _ in range(rng.randrange(6))])
+            for _ in range(40)
+        ]
+        classes += [rng.choice(classes) + rng.choice(classes) for _ in range(20)]
+        classes += [rng.choice(classes) * rng.choice(classes) for _ in range(20)]
+        equal_pairs = 0
+        for a in classes:
+            assert len(a.units) <= 2
+            assert all(u in (F.one, nonresidue) for u in a.units)
+            for b in classes:
+                assert (a == b) == equals(a, b)
+                equal_pairs += a is not b and a == b
+        assert equal_pairs > 0
+
+
 def test_simplify_rejects_zero_entry():
     with pytest.raises(ZeroInputError):
         simplify(QQ, [QQ.scalar(1), QQ.scalar(0)])
@@ -328,7 +351,7 @@ def test_equals_finite_field():
     g = identity_matrix(F7, 2)
     s = scal(F7, [[1, 3], [3, -1]])
     assert mat_mul(mat_mul(transpose(s), g), s) == scal(F7, [[3, 0], [0, 3]])
-    assert equals(a, b)
+    assert a == b and equals(a, b)
     assert not equals(GWClass.of(F7, units=[1]), GWClass.of(F7, units=[3]))
 
 
