@@ -10,8 +10,8 @@ has a determinant in A (x) A, X for the left factor and Y for the right,
 whose coordinates on the pairs m_a (x) m_b of standard monomials form the
 Gram matrix of a bilinear form that represents the degree of f.  Elements of
 A (x) A are sparse maps (a, b) -> coefficient; a term X^alpha Y^beta acts on
-them through the multiplication maps m_a -> NF(x^alpha m_a) on the left and
-m_b -> NF(x^beta m_b) on the right.
+them through m_a -> NF(x^alpha m_a) on the left and m_b -> NF(x^beta m_b) on
+the right, read off the reduced basis without division.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .errors import NonSquareSystemError, RingMismatchError
 from .fields import Field, Scalar
-from .groebner import GroebnerBasis, prepare_divisors, reduce_by
-from .polynomials import Poly, PolyRing
+from .groebner import GroebnerBasis
+from .polynomials import Poly, PolyRing, mono_mul
 
 
 def _check_system(polys: Sequence[Poly]) -> PolyRing:
@@ -68,37 +68,22 @@ def det_mod(
 ) -> dict:
     """det(delta) in A (x) A for A = R/gb, as a map (a, b) -> coefficient.
 
-    basis is the standard-monomial basis of A and contains 1.  The map
-    a -> NF(x^alpha m_a) is built once per exponent alpha that occurs.
+    basis is the standard-monomial basis of A and contains 1.  Each product
+    x^alpha m_a is normalized once, by gb.monomial_normal_forms.
     """
     n = len(delta)
     if n == 0 or any(len(row) != n for row in delta):
         raise NonSquareSystemError("matrix is not square")
     k = gb.ring.field
-    one = k.from_int(1)
-    index = {m: a for a, m in enumerate(basis)}
-    divisors = prepare_divisors(gb, gb.order)
-    tables: dict[tuple, list] = {}
-
-    def times(alpha: tuple, m: tuple) -> list:
-        p = tuple(x + y for x, y in zip(alpha, m))
-        if p in index:
-            return [(index[p], one)]
-        nf = reduce_by(Poly(gb.ring, {p: one}), divisors, gb.order)
-        return [(index[q], c) for q, c in nf.terms.items()]
-
-    def table(alpha: tuple) -> list:
-        if alpha not in tables:
-            tables[alpha] = [times(alpha, m) for m in basis]
-        return tables[alpha]
+    nf = gb.monomial_normal_forms(basis)
 
     def right(betas: list) -> list:
         # a -> NF(sum_beta c_beta x^beta m_a)
         out = []
-        for a in range(len(basis)):
+        for m in basis:
             acc: dict = {}
             for beta, c in betas:
-                for a2, w in table(beta)[a]:
+                for a2, w in nf(mono_mul(beta, m)):
                     _add(k, acc, a2, k.mul(c, w))
             out.append(list(acc.items()))
         return out
@@ -109,11 +94,14 @@ def det_mod(
         by_alpha: dict[tuple, list] = {}
         for (alpha, beta), c in entry.items():
             by_alpha.setdefault(alpha, []).append((beta, c))
-        return [(table(alpha), right(betas)) for alpha, betas in by_alpha.items()]
+        return [
+            ([nf(mono_mul(alpha, m)) for m in basis], right(betas))
+            for alpha, betas in by_alpha.items()
+        ]
 
     entries = [[grouped(entry) for entry in row] for row in delta]
-    start = index[(0,) * gb.ring.nvars]
-    prev = {0: {(start, start): one}}
+    start = basis.index((0,) * gb.ring.nvars)
+    prev = {0: {(start, start): k.from_int(1)}}
     for r in range(n):
         cur: dict[int, dict] = {}
         for mask, minor in prev.items():

@@ -512,10 +512,6 @@ def _uneg(k: Field, f):
     return tuple(k.neg(c) for c in f)
 
 
-def _usub(k: Field, f, g):
-    return _uadd(k, f, _uneg(k, g))
-
-
 def _uscale(k: Field, f, c):
     if k.is_zero(c):
         return ()

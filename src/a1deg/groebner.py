@@ -7,9 +7,13 @@ leading coefficients, sorted by leading monomial), hence unique for a given
 ideal and order, which keeps every downstream computation deterministic.
 
 Division prepares each divisor once as (leading monomial, leading
-coefficient, tail terms, short exponent vector) and keeps the pending terms
-of the dividend in a heap, so every monomial's order key is computed once,
-when it first appears.
+coefficient, tail terms, short exponent vector), and a GroebnerBasis does so
+when it is built.  It keeps the pending terms of the dividend in a heap, so
+every monomial's order key is computed once, when it first appears.
+
+Over a zero-dimensional reduced basis, normal forms of monomials need no
+division: each is read off the basis and the smaller ones by the border step
+of Faugere, Gianni, Lazard and Mora (JSC 16, 1993).
 
 Every divisibility test is prefiltered by short exponent vectors (Bachmann
 and Schoenemann, ISSAC 1998): two bits per variable, set when its exponent
@@ -155,14 +159,15 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its ring and order."""
+    """A reduced Groebner basis with its ring and order, prepared for division."""
 
-    __slots__ = ("ring", "order", "polys")
+    __slots__ = ("ring", "order", "polys", "divisors")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, polys: Sequence[Poly]):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
+        self.divisors = prepare_divisors(self.polys, order)
 
     def __iter__(self):
         return iter(self.polys)
@@ -185,7 +190,7 @@ class GroebnerBasis:
         return f"GroebnerBasis({list(self.polys)})"
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.polys, self.order)
+        return reduce_by(f, self.divisors, self.order)
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -194,7 +199,7 @@ class GroebnerBasis:
         return any(g.is_constant() and g for g in self.polys)
 
     def leading_monomials(self) -> list[tuple]:
-        return [g.leading_monomial(self.order) for g in self.polys]
+        return [d[0] for d in self.divisors]
 
     def is_zero_dimensional(self) -> bool:
         """Whether the quotient is a finite-dimensional vector space."""
@@ -222,7 +227,6 @@ class GroebnerBasis:
                 "the ideal does not cut out finitely many points"
             )
         n = self.ring.nvars
-        lms = [(lm, _sev(lm)) for lm in self.leading_monomials()]
         out = [((0,) * n, 0)]
         i = 0
         while i < len(out):
@@ -232,12 +236,39 @@ class GroebnerBasis:
                 step = mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
                 not_step = ~_sev(step)
                 if not any(
-                    not s & not_step and mono_divides(lm, step) for lm, s in lms
+                    not s & not_step and mono_divides(lm, step)
+                    for lm, _, _, s in self.divisors
                 ):
                     out.append((step, v))
         out = [mono for mono, _ in out]
         out.sort(key=self.order.key)
         return out
+
+    def monomial_normal_forms(self, basis: Sequence[tuple]):
+        """A memoised m -> NF(m), as (index, coefficient) pairs on basis, the
+        standard monomials of R/I.  lm(g) reduces to lm(g) - g/lc(g); any
+        other non-standard m is x times a non-standard m/x for a variable x,
+        and NF(m) sums NF(x m_a) over the terms of NF(m/x)."""
+        k = self.ring.field
+        index = {m: a for a, m in enumerate(basis)}
+        memo = {m: [(a, k.from_int(1))] for m, a in index.items()}
+        for lm, lc, tail, _ in self.divisors:
+            memo[lm] = [(index[m], k.neg(k.div(c, lc))) for m, c in tail]
+        n = self.ring.nvars
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+        def nf(m: tuple) -> list:
+            if m not in memo:
+                divides = [x for x in units if mono_divides(x, m)]
+                x = next(x for x in divides if mono_quot(m, x) not in index)
+                acc: dict = {}
+                for a, c in nf(mono_quot(m, x)):
+                    for b, w in nf(mono_mul(x, basis[a])):
+                        acc[b] = k.add(acc[b], k.mul(c, w)) if b in acc else k.mul(c, w)
+                memo[m] = [(b, c) for b, c in acc.items() if not k.is_zero(c)]
+            return memo[m]
+
+        return nf
 
     def quotient_dimension(self) -> int:
         return len(self.quotient_basis())

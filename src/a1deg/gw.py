@@ -256,8 +256,7 @@ def class_of_gram(field: Field, gram: Sequence[Sequence[Scalar]]) -> GWClass:
 
 
 def legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise ZeroInputError(f"{a} is divisible by {p}")
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 

@@ -279,7 +279,7 @@ class Poly:
         return out
 
     def __truediv__(self, other):
-        # division by a nonzero constant only
+        # a constant divisor scales; any other must divide exactly
         if isinstance(other, Poly):
             if not other.is_constant():
                 return self.exact_div(other)

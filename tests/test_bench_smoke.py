@@ -1,7 +1,11 @@
-"""One traced round of the local/global benchmark, run as a subprocess.
+"""One traced benchmark round per workload, run as a subprocess.
 
-The traced run rebinds library functions by name (bench/layers.py), so this
-fails when a rename or removal in the package breaks the benchmark.
+The traced run rebinds library functions and one method by name
+(bench/layers.py), so this fails when a rename or removal in the package
+breaks the benchmark.  ``local-global`` runs primary components and
+``check_local_global``; ``gr-random-fp``, the Grassmannian workload with no
+expected failures, runs ``euler_characteristic`` with its section and
+diagonalization probes.
 """
 
 import json
@@ -9,16 +13,19 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_local_global_round_runs_and_checks():
+@pytest.mark.parametrize("workload", ["local-global", "gr-random-fp"])
+def test_traced_round_runs_and_checks(workload):
     proc = subprocess.run(
         [
             sys.executable,
             os.path.join("bench", "run.py"),
             "--workload",
-            "local-global",
+            workload,
             "--seed",
             "1",
             "--seconds",

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+import a1deg.groebner
 from a1deg.bezoutian import bezoutian, delta_matrix, det_mod
 from a1deg.errors import NonSquareSystemError, NotZeroDimensionalError, RingMismatchError
 from a1deg.fields import GF, QQ, FunctionField, Scalar
@@ -334,6 +336,84 @@ def test_gram_matches_doubled_ring_reference(field, coeffs):
             assert bezoutian(fs, gb, basis) == reference_gram(fs, gb, basis)
             checked += 1
     assert checked >= 16
+
+
+def _guard_cases():
+    """(system, reduced basis) pairs: the README global example, the F7
+    length-8 fat point of tests/test_degree.py, an F3(t) system and the
+    Q Gr(2,4) section drawn by Random(1)."""
+    ring = PolyRing(QQ, ("x1", "x2"))
+    x1, x2 = ring.gens()
+    readme = [x1 * x2, x1 + x2]
+    F7 = PolyRing(GF(7), ("x", "y", "z"))
+    x, y, z = F7.gens()
+    u, v, w = x + z, y + 2 * x, z
+    fat = [(u * u - 3) ** 2 * (u - 1), (v - u) ** 2, w - u * v]
+    K = FunctionField(GF(3), "t")
+    t = K.gen()
+    Kring = PolyRing(K, ("a", "b"))
+    a, b = Kring.gens()
+    over_t = [a * a - Kring.const(t) * b, b * b + a * b - Kring.const(t + 1)]
+    gr24 = section_system(QQ, 2, 4, random_forms(QQ, 4, random.Random(1)))
+    fat_point = primary_component(fat, [u * u - 3, v - u, w - 3])
+    assert fat_point.quotient_dimension() == 8
+    return [
+        (readme, groebner_basis(readme, DEGREVLEX)),
+        (fat, fat_point),
+        (over_t, groebner_basis(over_t, DEGREVLEX)),
+        (gr24, groebner_basis(gr24, DEGREVLEX)),
+    ]
+
+
+def test_bezoutian_runs_no_division_and_builds_no_poly(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("division or a Poly on the Bezoutian path")
+
+    for fs, gb in _guard_cases():
+        basis = gb.quotient_basis()
+        expected = reference_gram(fs, gb, basis)
+        with monkeypatch.context() as m:
+            m.setattr(a1deg.groebner, "reduce_by", forbidden)
+            m.setattr(Poly, "__init__", forbidden)
+            gram = bezoutian(fs, gb, basis)
+        assert gram == expected
+
+
+def _degree_two_component(field, c):
+    """The primary component at the closed point x^2 = c, y = x of a system
+    with a length-8 zero there; c must not be a square in field."""
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.gens()
+    q = x * x - ring.const(c)
+    fs = [q * q * (x - 1), (y - x) ** 2]
+    component = primary_component(fs, [q, y - x])
+    assert component.quotient_dimension() == 8
+    return component
+
+
+@pytest.mark.parametrize(
+    "field, coeffs, c",
+    [(QQ, None, 2), (GF(7), None, 3), (FunctionField(GF(3), "t"), "t", None)],
+    ids=["Q", "F7", "F3(t)"],
+)
+def test_monomial_normal_forms_match_division(field, coeffs, c):
+    rng = random.Random(f"normal forms:{field}")
+    if coeffs is not None:
+        t = field.gen()
+        coeffs, c = [t, t + 1, 1 / t], t
+    cases = _systems(field, 2, 4, rng, coeffs) + _systems(field, 3, 3, rng, coeffs)
+    bases = [gb for _, gb in cases] + [_degree_two_component(field, c)]
+    for gb in bases:
+        ring = gb.ring
+        basis = gb.quotient_basis()
+        nf = gb.monomial_normal_forms(basis)
+        for alpha in product(range(4), repeat=ring.nvars):
+            if sum(alpha) > 3:
+                continue
+            for m in basis:
+                p = mono_mul(alpha, m)
+                got = {basis[b]: w for b, w in nf(p)}
+                assert got == gb.normal_form(ring.monomial(p)).terms
 
 
 def test_gram_of_simple_node():

@@ -13,6 +13,7 @@ from a1deg.gw import (
     equals,
     hasse_invariant,
     hilbert_symbol,
+    legendre,
     render_text,
     simplify,
 )
@@ -278,6 +279,13 @@ def test_hilbert_symbol_frozen_values():
     assert hilbert_symbol(2, 7, 2) == 1
     assert hilbert_symbol(6, 1, 2) == 1
     assert hilbert_symbol(6, 1, 3) == 1
+
+
+def test_legendre_values_and_zero_argument():
+    assert [legendre(a, 7) for a in (1, 2, 3, -1, 9)] == [1, 1, -1, -1, 1]
+    # the message names the argument as given, not its residue
+    with pytest.raises(ZeroInputError, match="^14 is divisible by 7$"):
+        legendre(14, 7)
 
 
 def test_hilbert_symbol_symmetry_and_bimultiplicativity():
