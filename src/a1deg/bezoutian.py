@@ -8,10 +8,12 @@ local factor of it), the matrix of stepwise difference quotients
 
 has a determinant in A (x) A, X for the left factor and Y for the right,
 whose coordinates on the pairs m_a (x) m_b of standard monomials form the
-Gram matrix of a bilinear form that represents the degree of f.  Elements of
-A (x) A are sparse maps (a, b) -> coefficient; a term X^alpha Y^beta acts on
-them through m_a -> NF(x^alpha m_a) on the left and m_b -> NF(x^beta m_b) on
-the right, read off the reduced basis without division.
+Gram matrix of a bilinear form that represents the degree of f (0 x 0 when
+A = 0).  A is its reduced Groebner basis, which knows its standard monomials.
+Elements of A (x) A are sparse maps (a, b) -> coefficient; a term
+X^alpha Y^beta acts on them through m_a -> NF(x^alpha m_a) on the left and
+m_b -> NF(x^beta m_b) on the right, read off the reduced basis without
+division.
 """
 
 from __future__ import annotations
@@ -63,19 +65,17 @@ def delta_matrix(polys: Sequence[Poly]) -> list[list[dict]]:
     return out
 
 
-def det_mod(
-    delta: Sequence[Sequence[dict]], gb: GroebnerBasis, basis: Sequence[tuple]
-) -> dict:
-    """det(delta) in A (x) A for A = R/gb, as a map (a, b) -> coefficient.
-
-    basis is the standard-monomial basis of A and contains 1.  Each product
-    x^alpha m_a is normalized once, by gb.monomial_normal_forms.
+def det_mod(delta: Sequence[Sequence[dict]], gb: GroebnerBasis) -> dict:
+    """det(delta) in A (x) A for A = R/gb, as a map (a, b) -> coefficient on
+    the standard monomials of gb.  Each product x^alpha m_a is normalized
+    once, by gb.monomial_normal_forms; the zero algebra gives {}.
     """
     n = len(delta)
     if n == 0 or any(len(row) != n for row in delta):
         raise NonSquareSystemError("matrix is not square")
     k = gb.ring.field
-    nf = gb.monomial_normal_forms(basis)
+    basis = gb.quotient_basis()
+    nf = gb.monomial_normal_forms()
 
     def right(betas: list) -> list:
         # a -> NF(sum_beta c_beta x^beta m_a)
@@ -100,8 +100,8 @@ def det_mod(
         ]
 
     entries = [[grouped(entry) for entry in row] for row in delta]
-    start = basis.index((0,) * gb.ring.nvars)
-    prev = {0: {(start, start): k.from_int(1)}}
+    # 1 is the least monomial in every order, so 1 (x) 1 is (0, 0)
+    prev = {0: {(0, 0): k.from_int(1)} if basis else {}}
     for r in range(n):
         cur: dict[int, dict] = {}
         for mask, minor in prev.items():
@@ -146,13 +146,11 @@ def gram_matrix(element: dict, field: Field, size: int) -> list[list[Scalar]]:
     return gram
 
 
-def bezoutian(
-    polys: Sequence[Poly], gb: GroebnerBasis, basis: Sequence[tuple]
-) -> list[list[Scalar]]:
-    """Gram matrix of the Bezoutian form of the system on A = R/gb, whose
-    standard-monomial basis is given; entry (a, b) pairs m_a with m_b."""
+def bezoutian(polys: Sequence[Poly], gb: GroebnerBasis) -> list[list[Scalar]]:
+    """Gram matrix of the Bezoutian form of the system on A = R/gb; entry
+    (a, b) pairs the standard monomials m_a and m_b of gb."""
     ring = _check_system(polys)
     if gb.ring != ring:
         raise RingMismatchError("the system and the basis live in different rings")
-    element = det_mod(delta_matrix(polys), gb, basis)
-    return gram_matrix(element, ring.field, len(basis))
+    element = det_mod(delta_matrix(polys), gb)
+    return gram_matrix(element, ring.field, gb.quotient_dimension())

@@ -17,7 +17,7 @@ from .bezoutian import _check_system, bezoutian
 from .errors import IncompleteCoverError, RingMismatchError
 from .fields import Scalar
 from .groebner import DEGREVLEX, GroebnerBasis, groebner_basis, primary_component
-from .gw import GWClass, class_of_gram
+from .gw import GWClass, class_of_gram, equals
 from .polynomials import Poly
 
 
@@ -27,22 +27,23 @@ class DegreeData:
 
     gw: GWClass
     gram: list[list[Scalar]]
-    basis: list[tuple]
     gb: GroebnerBasis
 
     @property
+    def basis(self) -> list[tuple]:
+        return self.gb.quotient_basis()
+
+    @property
     def multiplicity(self) -> int:
-        return len(self.basis)
+        return len(self.gram)
 
 
 def global_degree_data(
     polys: Sequence[Poly], gb: GroebnerBasis | None = None
 ) -> DegreeData:
-    ring = _check_system(polys)
+    _check_system(polys)
     if gb is None:
         gb = groebner_basis(polys, DEGREVLEX)
-    if gb.is_whole_ring():
-        return DegreeData(GWClass(ring.field, 0, ()), [], [], gb)
     return _degree_from_component(polys, gb)
 
 
@@ -72,12 +73,8 @@ def local_degree(polys: Sequence[Poly], point: Sequence[Poly]) -> GWClass:
 def _degree_from_component(
     polys: Sequence[Poly], component: GroebnerBasis
 ) -> DegreeData:
-    field = polys[0].ring.field
-    basis = component.quotient_basis()
-    if not basis:
-        return DegreeData(GWClass(field, 0, ()), [], [], component)
-    gram = bezoutian(polys, component, basis)
-    return DegreeData(class_of_gram(field, gram), gram, basis, component)
+    gram = bezoutian(polys, component)
+    return DegreeData(class_of_gram(polys[0].ring.field, gram), gram, component)
 
 
 def check_local_global(
@@ -85,8 +82,6 @@ def check_local_global(
 ) -> tuple[GWClass, list[GWClass], bool]:
     """Global degree, local degrees, and whether the sum of the local ones
     equals the global one.  The points must exhaust the zero scheme."""
-    from .gw import equals
-
     gdata = global_degree_data(polys)
     locals_ = [local_degree_data(polys, pt) for pt in points]
     covered = sum(l.multiplicity for l in locals_)

@@ -39,7 +39,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24, far beyond anything used here.
+    # Miller-Rabin on these bases is deterministic for n < 3.3e24 (81 bits)
+    # and a probable-prime test above; Q Gram diagonals reach 267 bits.
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -80,8 +81,8 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1: trial division, then Pollard rho.
 
-    Intended for the modest integers that show up as diagonal entries of
-    Gram matrices; it is not a general-purpose factoring engine.
+    Nothing bounds its time: an integer with two large prime factors, such
+    as a Q Gram diagonal entry of a few hundred bits, can stall Pollard rho.
     """
     out: dict[int, int] = {}
     for p in (2, 3, 5):

@@ -54,11 +54,10 @@ def random_forms(field: Field, n: int, rng: random.Random) -> list[list[int]]:
     """Coefficient rows for n random linear forms.
 
     Over a prime field the coefficients are uniform residues.  Over ℚ they
-    come from a small integer box, kept tight on purpose: Gram entries grow
+    come from the box |c| <= 3, kept tight on purpose: Gram entries grow
     multiplicatively in the form coefficients, and canonicalizing a square
-    class costs an integer factorization of the entry.  Coefficients up to 3
-    keep those integers well inside easy-factoring range while staying
-    plenty generic.
+    class factors integers.  That factoring can still be hard: for the
+    Gr(2,5) class of ``random.Random(2)`` it is in Pollard rho after 25 s.
     """
     if field.characteristic:
         p = field.characteristic

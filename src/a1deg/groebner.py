@@ -11,9 +11,11 @@ coefficient, tail terms, short exponent vector), and a GroebnerBasis does so
 when it is built.  It keeps the pending terms of the dividend in a heap, so
 every monomial's order key is computed once, when it first appears.
 
-Over a zero-dimensional reduced basis, normal forms of monomials need no
-division: each is read off the basis and the smaller ones by the border step
-of Faugere, Gianni, Lazard and Mora (JSC 16, 1993).
+A zero-dimensional GroebnerBasis is also the quotient algebra A = R/I: it
+walks its staircase of standard monomials once, on first use, and keeps it.
+Normal forms of monomials need no division: each is read off the reduced
+basis and the smaller ones by the border step of Faugere, Gianni, Lazard and
+Mora (JSC 16, 1993).
 
 Every divisibility test is prefiltered by short exponent vectors (Bachmann
 and Schoenemann, ISSAC 1998): two bits per variable, set when its exponent
@@ -161,13 +163,14 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
 class GroebnerBasis:
     """A reduced Groebner basis with its ring and order, prepared for division."""
 
-    __slots__ = ("ring", "order", "polys", "divisors")
+    __slots__ = ("ring", "order", "polys", "divisors", "_standard")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, polys: Sequence[Poly]):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.divisors = prepare_divisors(self.polys, order)
+        self._standard = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -214,42 +217,43 @@ class GroebnerBasis:
         return all(seen)
 
     def quotient_basis(self) -> list[tuple]:
-        """Standard monomials of R/I, sorted ascending in the basis order.
+        """Standard monomials of R/I, sorted ascending in the basis order, as
+        a new list; the staircase is walked once per basis and kept.
 
         They form an order ideal, so a walk from 1 that multiplies each
         standard monomial by its last variable and every later one reaches
         each of them exactly once.
         """
-        if self.is_whole_ring():
-            return []
-        if not self.is_zero_dimensional():
-            raise NotZeroDimensionalError(
-                "the ideal does not cut out finitely many points"
-            )
-        n = self.ring.nvars
-        out = [((0,) * n, 0)]
-        i = 0
-        while i < len(out):
-            mono, last = out[i]
-            i += 1
-            for v in range(last, n):
-                step = mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
-                not_step = ~_sev(step)
+        if self._standard is None:
+            if not self.is_zero_dimensional():
+                raise NotZeroDimensionalError(
+                    "the ideal does not cut out finitely many points"
+                )
+            n = self.ring.nvars
+            out = []
+            todo = [((0,) * n, 0)]
+            for mono, last in todo:
+                not_mono = ~_sev(mono)
                 if not any(
-                    not s & not_step and mono_divides(lm, step)
+                    not s & not_mono and mono_divides(lm, mono)
                     for lm, _, _, s in self.divisors
                 ):
-                    out.append((step, v))
-        out = [mono for mono, _ in out]
-        out.sort(key=self.order.key)
-        return out
+                    out.append(mono)
+                    todo += [
+                        (mono[:v] + (mono[v] + 1,) + mono[v + 1 :], v)
+                        for v in range(last, n)
+                    ]
+            out.sort(key=self.order.key)
+            self._standard = tuple(out)
+        return list(self._standard)
 
-    def monomial_normal_forms(self, basis: Sequence[tuple]):
-        """A memoised m -> NF(m), as (index, coefficient) pairs on basis, the
+    def monomial_normal_forms(self):
+        """A memoised m -> NF(m), as (index, coefficient) pairs on the
         standard monomials of R/I.  lm(g) reduces to lm(g) - g/lc(g); any
         other non-standard m is x times a non-standard m/x for a variable x,
         and NF(m) sums NF(x m_a) over the terms of NF(m/x)."""
         k = self.ring.field
+        basis = self.quotient_basis()
         index = {m: a for a, m in enumerate(basis)}
         memo = {m: [(a, k.from_int(1))] for m, a in index.items()}
         for lm, lc, tail, _ in self.divisors:

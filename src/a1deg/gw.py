@@ -322,10 +322,11 @@ def _relevant_primes(classes: Iterable[GWClass]) -> list[int]:
 def equals(a: GWClass, b: GWClass) -> bool:
     """Whether two classes are equal as forms, not just structurally."""
     _same_field(a, b)
+    # identical reduced forms are isometric; this also spares their factoring
+    if a == b:
+        return True
     if a.rank != b.rank:
         return False
-    if a.rank == 0:
-        return True
     field = a.field
     if isinstance(field, PrimeField):
         return a.disc() == b.disc()

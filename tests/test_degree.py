@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from a1deg.bezoutian import bezoutian, delta_matrix, det_mod
+from a1deg.cli import main
 from a1deg.degree import (
     apply_matrix,
     check_local_global,
@@ -17,7 +19,9 @@ from a1deg.errors import (
     NotZeroDimensionalError,
     PointNotOnZeroLocusError,
 )
-from a1deg.fields import GF, QQ
+from a1deg.fields import GF, QQ, parse_field
+from a1deg.grassmannian import euler_characteristic
+from a1deg.groebner import DEGREVLEX, GroebnerBasis, groebner_basis
 from a1deg.gw import GWClass, equals, simplify
 from a1deg.polynomials import PolyRing
 
@@ -60,12 +64,51 @@ def _prod(items):
     return out
 
 
-def test_empty_zero_scheme():
+def test_empty_zero_scheme(capsys):
     ring = PolyRing(QQ, ("x",))
     data = global_degree_data([ring.one + ring.var(0) - ring.var(0)])
     assert data.gw == GWClass(QQ, 0, ())
     assert data.multiplicity == 0
     assert str(data.gw) == "0"
+    # two variables: xy - 1 and x have no common zero
+    for spec in ("Q", "F7", "F3(t)"):
+        ring = PolyRing(parse_field(spec), ("x", "y"))
+        polys = [ring.parse("x*y - 1"), ring.parse("x")]
+        data = global_degree_data(polys)
+        assert data.gw == GWClass(ring.field, 0, ())
+        assert data.multiplicity == 0 and data.basis == []
+        gb = groebner_basis(polys, DEGREVLEX)
+        assert bezoutian(polys, gb) == []
+        assert det_mod(delta_matrix(polys), gb) == {}
+        argv = ["global", "--field", spec, "--vars", "x,y", "--system", "x*y - 1; x"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0\n"
+
+
+def test_each_basis_walks_its_staircase_once(monkeypatch):
+    """check_local_global and euler_characteristic reuse every walk: the
+    quotient basis of a Groebner basis is computed on its first call only."""
+    walked, bases = [], []
+    quotient_basis = GroebnerBasis.quotient_basis
+
+    def counting(gb):
+        if not any(b is gb for b in bases):
+            bases.append(gb)
+        if gb._standard is None:
+            walked.append(gb)
+        return quotient_basis(gb)
+
+    monkeypatch.setattr(GroebnerBasis, "quotient_basis", counting)
+    ring = PolyRing(QQ, ("x1", "x2"))
+    x1, x2 = ring.gens()
+    fs = [(x1 - ring.one) * x1 * x2, x1 * x1 - 2 * x2 * x2]
+    points = [[x1, x2], [x1 - ring.one, 2 * x2 * x2 - ring.one]]
+    assert check_local_global(fs, points)[2]
+    assert len(walked) == len(bases) > 3
+    walked.clear()
+    bases.clear()
+    assert euler_characteristic(GF(101), 2, 4).rank == 6
+    assert len(walked) == len(bases) == 1
 
 
 def test_not_zero_dimensional():

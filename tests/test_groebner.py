@@ -126,6 +126,16 @@ def test_whole_ring_and_zero_ideal():
         zero.quotient_basis()
 
 
+def test_quotient_basis_returns_a_copy_of_one_walk():
+    R = PolyRing(QQ, ["x", "y"])
+    gb = groebner_basis([R.parse("x^2"), R.parse("y^2")])
+    first = gb.quotient_basis()
+    first.append((5, 5))
+    first[0] = (7, 7)
+    assert gb.quotient_basis() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert gb.quotient_basis() is not gb.quotient_basis()
+
+
 def test_not_zero_dimensional():
     R = PolyRing(QQ, ["x", "y"])
     gb = groebner_basis([R.parse("x*y - 1")])

@@ -254,6 +254,24 @@ def test_rational_disc_folds_units_without_factoring(monkeypatch):
         assert q.denominator == 1 and q > 0 and isqrt(q.numerator) ** 2 == q
 
 
+def test_equals_identical_classes_without_factoring(monkeypatch):
+    """The Q Gr(2,4) class of random_forms(QQ, 4, Random(4)) has units of up
+    to 136 bits, too hard to factor for the Hasse invariants; equal reduced
+    forms need no invariants."""
+    from a1deg import fields, gw
+    from a1deg.grassmannian import euler_characteristic, random_forms
+
+    c = euler_characteristic(QQ, 2, 4, forms=random_forms(QQ, 4, random.Random(4)))
+
+    def no_factoring(n):
+        raise AssertionError(f"equals factored {n}")
+
+    monkeypatch.setattr(fields, "factorize", no_factoring)
+    monkeypatch.setattr(gw, "factorize", no_factoring)
+    assert equals(c, c)
+    assert equals(c, GWClass(QQ, c.hyperbolic, c.units))
+
+
 def test_rational_disc_matches_square_class_of_the_product():
     from a1deg.fields import square_class
 
