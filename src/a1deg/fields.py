@@ -79,29 +79,22 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1: trial division, then Pollard rho.
+    """Prime factorization of n >= 1: divide out 2, 3 and 5, then split the
+    rest by Miller-Rabin, perfect-square roots and Pollard rho.
 
     Nothing bounds its time: an integer with two large prime factors, such
     as a Q Gram diagonal entry of a few hundred bits, can stall Pollard rho.
     """
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f, i = 7, 0
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

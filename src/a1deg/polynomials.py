@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -30,21 +31,21 @@ from .fields import Field, Scalar
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """Whether a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quot(b: tuple, a: tuple) -> tuple:
     """b / a, assuming a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class MonomialOrder:
@@ -59,14 +60,14 @@ class MonomialOrder:
 
     def key(self, m: tuple):
         if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple(map(neg, reversed(m))))
         return m
 
     def descending_key(self, m: tuple):
         """A key that sorts larger monomials first, for min-heaps."""
         if self.kind == "degrevlex":
             return (-sum(m), m[::-1])
-        return tuple(-e for e in m)
+        return tuple(map(neg, m))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialOrder) and other.kind == self.kind

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from a1deg.fields import (
     GF,
     QQ,
     FunctionField,
+    _is_probable_prime,
     factorize,
     is_square,
     parse_field,
@@ -90,6 +92,42 @@ def test_factorize_and_squarefree_part():
     assert factorize(2**4 * 3 * 10007**2) == {2: 4, 3: 1, 10007: 2}
     assert squarefree_part(1260) == 35
     assert squarefree_part(10007 * 10009 * 4) == 10007 * 10009
+
+
+def test_factorize_rejects_nonpositive():
+    # 0 is last: dividing out 2 from 0 never ends, so code without the check
+    # fails here on -4 instead of hanging
+    for n in (-4, -1, 0):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            factorize(n)
+    with pytest.raises(ValueError, match="got 0$"):
+        squarefree_part(0)
+
+
+def test_factorize_without_trial_division_past_five():
+    def product(factors):
+        return prod(p**e for p, e in factors.items())
+
+    for n in range(1, 20001):
+        factors = factorize(n)
+        assert product(factors) == n
+        assert all(map(_is_probable_prime, factors))
+    sieve = bytearray([1]) * 100000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 100000, i)))
+    primes = [p for p in range(7, 100000) if sieve[p]]
+    rng = random.Random(25)
+    for _ in range(150):
+        factors = {p: rng.randint(1, 3) for p in rng.sample(primes, rng.randint(1, 4))}
+        for p, e in ((2, rng.randint(0, 3)), (3, rng.randint(0, 2))):
+            if e:
+                factors[p] = e
+        assert factorize(product(factors)) == factors
+    for p in rng.sample(primes, 25) + [7, 11, 13, 99991]:
+        for k in range(1, 8):
+            assert factorize(p**k) == {p: k}
 
 
 def test_rational_squares():
