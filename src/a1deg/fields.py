@@ -209,10 +209,7 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar) and other.field != self.field:
             return False
-        try:
-            o = self._coerce(other)
-        except FieldMismatchError:  # pragma: no cover - guarded above
-            return False
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.value == o.value

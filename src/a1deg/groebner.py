@@ -402,6 +402,9 @@ def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
     Every generator of I must lie in the ring of the point and vanish there,
     so I + m = m and the chain starts at k = 1 with the basis of m itself;
     otherwise RingMismatchError or PointNotOnZeroLocusError is raised.
+    Since m I lies in I, I + m^(k+1) = I + m (I + m^k), so step k+1 is
+    generated by I and the products q g of each q in the basis of m with each
+    g in the reduced basis of step k.
     R/(I + m^k) is the local factor A_m of A = R/I once m^k A_m = 0.  The
     quotient dimensions grow with k until m^k A_m = m^(k+1) A_m, and by
     Nakayama that equality means m^k A_m = 0, so the first k whose dimension
@@ -419,9 +422,6 @@ def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
             raise PointNotOnZeroLocusError(f"{f} does not vanish at the given point")
     degrees = sorted(g.total_degree() for g in gens)
     bound = prod(degrees[-point.ring.nvars :])
-    # m^k as products of k generators of m with nondecreasing indices, each
-    # kept with the index of its last factor; a list, so the order is fixed
-    power = list(enumerate(point))
     component = point
     prev = 0
     for k in count(1):
@@ -434,5 +434,6 @@ def primary_component(gens: GensLike, point_gens: GensLike) -> GroebnerBasis:
                 f" past the Bezout bound {bound}"
             )
         prev = dim
-        power = [(j, p * point[j]) for i, p in power for j in range(i, len(point))]
-        component = groebner_basis(gens + [p for _, p in power], DEGREVLEX)
+        component = groebner_basis(
+            gens + [q * g for q in point for g in component], DEGREVLEX
+        )

@@ -1,8 +1,10 @@
 """Tests for Buchberger, quotient bases, primary components and saturation."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from math import prod
 
 import pytest
 
@@ -13,7 +15,7 @@ from a1deg.errors import (
     RingMismatchError,
     ZeroInputError,
 )
-from a1deg.fields import GF, QQ
+from a1deg.fields import GF, QQ, FunctionField
 from a1deg.grassmannian import coordinate_forms, section_system
 from a1deg.groebner import (
     GroebnerBasis,
@@ -34,6 +36,7 @@ from a1deg.polynomials import (
     mono_mul,
     mono_quot,
 )
+from test_bezoutian import _systems
 
 
 def rand_poly(rng, ring, max_deg=3, terms=4):
@@ -424,3 +427,118 @@ def test_primary_component_checks_the_point():
     # at a simple zero the component is the point itself
     point = [R.parse("x - 1"), R.parse("y - 1")]
     assert primary_component(gens, point) == groebner_basis(point)
+
+
+# two systems in x, y, z with a zero at the origin that is not isolated
+NOT_ISOLATED = [
+    (
+        QQ,
+        "y*z^2 + 3*y - 4*z^2; y^2*z - x*y^2*z - 4*x^2*z; y - 3*z - 2*z^2",
+        "R/(I + m^25) has dimension 25, past the Bezout bound 24",
+    ),
+    (
+        GF(7),
+        "x*y - 2*x^2*y^2 + 4*y^2*z; -3*x*y^2*z - 2*x^2 - 2*y; x*y*z + 3*x^2*y*z^2 - x",
+        "R/(I + m^81) has dimension 81, past the Bezout bound 80",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, system, message", NOT_ISOLATED, ids=["Q", "F7"])
+def test_primary_component_steps_take_few_generators(monkeypatch, field, system, message):
+    # each step is generated by I and m times the previous reduced basis, so
+    # no call sees the C(k+2, 2) products of k generators of m
+    inner = groebner.groebner_basis
+
+    def bounded(gens, order=DEGREVLEX):
+        gens = list(gens)
+        assert len(gens) <= 30, f"a step passed {len(gens)} generators"
+        return inner(gens, order)
+
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens = [ring.parse(f) for f in system.split(";")]
+    monkeypatch.setattr(groebner, "groebner_basis", bounded)
+    with pytest.raises(NotZeroDimensionalError, match=re.escape(message)):
+        primary_component(gens, ring.gens())
+
+
+def reference_primary_component(gens, point_gens):
+    """The chain I + m^k with m^k spelled out as every product of k
+    generators of m (nondecreasing indices), each step from scratch."""
+    gens = [g for g in gens if g]
+    point = groebner_basis(point_gens, DEGREVLEX)
+    degrees = sorted(g.total_degree() for g in gens)
+    bound = prod(degrees[-point.ring.nvars :])
+    power = list(enumerate(point))
+    component = point
+    prev = 0
+    for k in count(1):
+        dim = component.quotient_dimension()
+        if dim == prev:
+            return component
+        if dim > bound:
+            raise NotZeroDimensionalError(
+                f"the local quotient R/(I + m^{k}) has dimension {dim},"
+                f" past the Bezout bound {bound}"
+            )
+        prev = dim
+        power = [(j, p * point[j]) for i, p in power for j in range(i, len(point))]
+        component = groebner_basis(gens + [p for _, p in power], DEGREVLEX)
+
+
+def _chain_outcome(chain, gens, point):
+    try:
+        return chain(gens, point)
+    except NotZeroDimensionalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "field, coeffs, c",
+    [(QQ, None, 2), (GF(7), None, 3), (FunctionField(GF(3), "t"), "t", None)],
+    ids=["Q", "F7", "F3(t)"],
+)
+def test_primary_component_matches_full_power_chain(field, coeffs, c):
+    rng = random.Random(f"chain:{field}")
+    if coeffs is not None:
+        t = field.gen()
+        coeffs, c = [t, t + 1, 1 / t], t
+    cases = []
+    for nvars in (2, 3):
+        # _systems lists a system once with its global basis and once more
+        # with its local one when the origin is isolated
+        systems = {id(fs): fs for fs, _ in _systems(field, nvars, 6, rng, coeffs)}
+        ring = PolyRing(field, tuple(f"x{i}" for i in range(1, nvars + 1)))
+        cases += [(fs, ring.gens()) for fs in systems.values()]
+    # a length-8 zero at the degree-2 point x^2 = c, y = x
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.gens()
+    q = x * x - ring.const(c)
+    cases.append(([q * q * (x - 1), (y - x) ** 2], [q, y - x]))
+    # the line x = 0 through the origin: both chains pass the Bezout bound
+    cases.append(([x * y, x * (x - 1)], [x, y]))
+    for fs, point in cases:
+        got = _chain_outcome(primary_component, fs, point)
+        assert got == _chain_outcome(reference_primary_component, fs, point)
+
+
+def test_primary_component_matches_full_power_chain_at_fat_points():
+    # the running example: length 4 at the origin, 2 at (1, +-sqrt(1/2))
+    R = PolyRing(QQ, ["x1", "x2"])
+    x1, x2 = R.gens()
+    node = [(x1 - 1) * x1 * x2, x1 * x1 - 2 * x2 * x2]
+    # over F7, where 3 is not a square: a length-8 zero at a degree-2 point
+    F7 = PolyRing(GF(7), ("x", "y", "z"))
+    x, y, z = F7.gens()
+    u, v, w = x + z, y + 2 * x, z
+    fat = [(u * u - 3) ** 2 * (u - 1), (v - u) ** 2, w - u * v]
+    cases = [
+        (node, [x1, x2], 4),
+        (node, [x1 - 1, x2 * x2 - Fraction(1, 2)], 2),
+        (fat, [u * u - 3, v - u, w - 3], 8),
+        (fat, [u - 1, v - 1, w - 1], 2),
+    ]
+    for fs, point, length in cases:
+        component = primary_component(fs, point)
+        assert component.quotient_dimension() == length
+        assert component == reference_primary_component(fs, point)
