@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import NonSquareSystemError, RingMismatchError
 from .fields import Field, Scalar
 from .groebner import GroebnerBasis
-from .polynomials import Poly, PolyRing, mono_mul
+from .polynomials import Poly, PolyRing, accumulate, mono_mul
 
 
 def _check_system(polys: Sequence[Poly]) -> PolyRing:
@@ -84,7 +84,7 @@ def det_mod(delta: Sequence[Sequence[dict]], gb: GroebnerBasis) -> dict:
             acc: dict = {}
             for beta, c in betas:
                 for a2, w in nf(mono_mul(beta, m)):
-                    _add(k, acc, a2, k.mul(c, w))
+                    accumulate(k, acc, a2, k.mul(c, w))
             out.append(list(acc.items()))
         return out
 
@@ -115,27 +115,14 @@ def det_mod(delta: Sequence[Sequence[dict]], gb: GroebnerBasis) -> dict:
                     left: dict = {}
                     for (a, b), v in minor.items():
                         for a2, w in left_map[a]:
-                            _add(k, left, (a2, b), k.mul(v, w))
+                            accumulate(k, left, (a2, b), k.mul(v, w))
                     for (a, b), v in left.items():
                         if negate:
                             v = k.neg(v)
                         for b2, w in right_map[b]:
-                            _add(k, acc, (a, b2), k.mul(v, w))
+                            accumulate(k, acc, (a, b2), k.mul(v, w))
         prev = {mask: minor for mask, minor in cur.items() if minor}
     return prev.get((1 << n) - 1, {})
-
-
-def _add(k: Field, acc: dict, key: tuple, c) -> None:
-    # c is a product of nonzero field elements, hence nonzero
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = c
-        return
-    s = k.add(cur, c)
-    if k.is_zero(s):
-        del acc[key]
-    else:
-        acc[key] = s
 
 
 def gram_matrix(element: dict, field: Field, size: int) -> list[list[Scalar]]:

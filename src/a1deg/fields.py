@@ -619,30 +619,35 @@ def _sqclass_monic(k: Field, m):
     return _umul(k, _udiv_exact(k, kernel, c), _udiv_exact(k, rest, c))
 
 
-def _ustr(k: Field, f, name: str) -> str:
-    if not f:
-        return "0"
-    parts: list[tuple[str, str]] = []  # (sign, body)
-    one = k.from_int(1)
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if k.is_zero(c):
-            continue
-        cs = k.to_str(c)
+def join_terms(pairs) -> str:
+    """The signed sum of (coefficient text, monomial text) pairs, largest
+    first; the monomial text of a constant is empty.  A coefficient with a
+    space is parenthesized and keeps its own sign, a single token hands its
+    minus to the join, and a coefficient 1 before a monomial is dropped."""
+    parts = []
+    for cs, mono in pairs:
         sign = "+"
-        if cs.startswith("-"):
+        if " " in cs:
+            cs = f"({cs})"
+        elif cs.startswith("-"):
             sign, cs = "-", cs[1:]
-        if i == 0:
+        if not mono:
             body = cs
         else:
-            power = name if i == 1 else f"{name}^{i}"
-            body = power if cs == "1" else f"{cs}*{power}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = mono if cs == "1" else f"{cs}*{mono}"
+        parts.append(f"{sign} {body}")
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out[0] == "+" else f"-{out[2:]}"
+
+
+def _ustr(k: Field, f, name: str) -> str:
+    return join_terms(
+        (k.to_str(f[i]), "" if i == 0 else name if i == 1 else f"{name}^{i}")
+        for i in range(len(f) - 1, -1, -1)
+        if not k.is_zero(f[i])
+    )
 
 
 # ---------------------------------------------------------------------------

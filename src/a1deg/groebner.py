@@ -47,6 +47,7 @@ from .polynomials import (
     MonomialOrder,
     Poly,
     PolyRing,
+    accumulate,
     fresh_name,
     mono_divides,
     mono_lcm,
@@ -89,6 +90,8 @@ def prepare_divisors(
 
 def _sub_multiple(k, work: dict, q_mono: tuple, q_c, tail) -> list[tuple]:
     """work -= q_c * x^q_mono * tail; returns the monomials new to work."""
+    # not polynomials.accumulate: this is the reduction hot path, and the
+    # caller needs the new monomials for its heap
     new = []
     for m2, c2 in tail:
         mono = mono_mul(q_mono, m2)
@@ -268,8 +271,8 @@ class GroebnerBasis:
                 acc: dict = {}
                 for a, c in nf(mono_quot(m, x)):
                     for b, w in nf(mono_mul(x, basis[a])):
-                        acc[b] = k.add(acc[b], k.mul(c, w)) if b in acc else k.mul(c, w)
-                memo[m] = [(b, c) for b, c in acc.items() if not k.is_zero(c)]
+                        accumulate(k, acc, b, k.mul(c, w))
+                memo[m] = list(acc.items())
             return memo[m]
 
         return nf

@@ -24,7 +24,7 @@ from .errors import (
     RingMismatchError,
     ZeroInputError,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, join_terms
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -81,6 +81,19 @@ class MonomialOrder:
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
+
+
+def accumulate(k: Field, acc: dict, key, c) -> None:
+    """acc[key] += c for a nonzero c, dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = c
+        return
+    s = k.add(cur, c)
+    if k.is_zero(s):
+        del acc[key]
+    else:
+        acc[key] = s
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +167,14 @@ class PolyRing:
     def one(self) -> "Poly":
         return self.const(1)
 
+    def _var_index(self, which: Union[str, int]) -> int:
+        i = self._index.get(which, -1) if isinstance(which, str) else which
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable {which!r} in {self}")
+        return i
+
     def var(self, which: Union[str, int]) -> "Poly":
-        i = self._index[which] if isinstance(which, str) else which
+        i = self._var_index(which)
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Poly(self, {mono: self.field.from_int(1)})
 
@@ -170,10 +189,7 @@ class PolyRing:
                 raise ValueError(f"bad exponent tuple {mono}")
             raw = self.field.coerce(c)
             if not self.field.is_zero(raw):
-                cur = out.get(mono)
-                out[mono] = raw if cur is None else self.field.add(cur, raw)
-                if self.field.is_zero(out[mono]):
-                    del out[mono]
+                accumulate(self.field, out, mono, raw)
         return Poly(self, out)
 
     def monomial(self, mono: tuple) -> "Poly":
@@ -214,15 +230,7 @@ class Poly:
         k = self.ring.field
         out = dict(self.terms)
         for mono, c in o.terms.items():
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = c
-            else:
-                s = k.add(cur, c)
-                if k.is_zero(s):
-                    del out[mono]
-                else:
-                    out[mono] = s
+            accumulate(k, out, mono, c)
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -251,18 +259,7 @@ class Poly:
         out: dict[tuple, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                mono = mono_mul(m1, m2)
-                c = k.mul(c1, c2)
-                cur = out.get(mono)
-                if cur is None:
-                    if not k.is_zero(c):
-                        out[mono] = c
-                else:
-                    s = k.add(cur, c)
-                    if k.is_zero(s):
-                        del out[mono]
-                    else:
-                        out[mono] = s
+                accumulate(k, out, mono_mul(m1, m2), k.mul(c1, c2))
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -357,7 +354,7 @@ class Poly:
 
     def diff(self, which: Union[str, int]) -> "Poly":
         """Partial derivative with respect to one variable."""
-        i = self.ring._index[which] if isinstance(which, str) else which
+        i = self.ring._var_index(which)
         k = self.ring.field
         out: dict[tuple, object] = {}
         for mono, c in self.terms.items():
@@ -367,10 +364,8 @@ class Poly:
             d = k.mul(c, k.from_int(e))
             if k.is_zero(d):  # positive characteristic can kill a term
                 continue
-            lowered = tuple(x - 1 if j == i else x for j, x in enumerate(mono))
-            out[lowered] = k.add(out[lowered], d) if lowered in out else d
-            if k.is_zero(out[lowered]):
-                del out[lowered]
+            # m -> m / x_i is injective on the terms kept, so nothing merges
+            out[tuple(x - 1 if j == i else x for j, x in enumerate(mono))] = d
         return Poly(self.ring, out)
 
     def substitute(
@@ -380,9 +375,10 @@ class Poly:
     ) -> "Poly":
         """Apply the ring morphism sending each variable to its image.
 
-        Every variable that actually occurs must be assigned.  Images may live
-        in a different ring over the same field; the target ring is taken from
-        the first Poly image (or ``ring`` when all images are scalars).
+        Every variable that actually occurs must be assigned; each image is
+        checked when its variable first occurs.  Images may live in a
+        different ring over the same field; the target ring is taken from the
+        first Poly image (or ``ring`` when all images are scalars).
         """
         target = ring
         if target is None:
@@ -396,37 +392,24 @@ class Poly:
             raise RingMismatchError(
                 f"substitution cannot change the field {self.ring.field}"
             )
-        used = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
         imgs: dict[int, Poly] = {}
-        for i in sorted(used):
-            name = self.ring.names[i]
-            if name not in images:
-                raise MissingAssignmentError(f"no image for variable {name!r}")
-            img = images[name]
-            if not isinstance(img, Poly):
-                img = target.const(img)
-            elif img.ring != target:
-                raise RingMismatchError("images live in different rings")
-            imgs[i] = img
-        powers: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, e: int) -> Poly:
-            got = powers.get((i, e))
-            if got is None:
-                got = imgs[i] ** e
-                powers[(i, e)] = got
-            return got
-
         acc = target.zero
         for mono, c in self.terms.items():
             term = Poly(target, {(0,) * target.nvars: c})
             for i, e in enumerate(mono):
-                if e:
-                    term = term * power(i, e)
+                if not e:
+                    continue
+                if i not in imgs:
+                    name = self.ring.names[i]
+                    if name not in images:
+                        raise MissingAssignmentError(f"no image for variable {name!r}")
+                    img = images[name]
+                    if not isinstance(img, Poly):
+                        img = target.const(img)
+                    elif img.ring != target:
+                        raise RingMismatchError("images live in different rings")
+                    imgs[i] = img
+                term = term * imgs[i] ** e
             acc = acc + term
         return acc
 
@@ -469,53 +452,28 @@ class Poly:
             q_mono = mono_quot(lm, g_lm)
             q_c = k.div(rem[lm], g_lc)
             quot[q_mono] = q_c
+            minus_q_c = k.neg(q_c)
             for m2, c2 in o.terms.items():
-                mono = mono_mul(q_mono, m2)
-                c = k.mul(q_c, c2)
-                cur = rem.get(mono)
-                s = k.sub(cur, c) if cur is not None else k.neg(c)
-                if k.is_zero(s):
-                    if cur is not None:
-                        del rem[mono]
-                else:
-                    rem[mono] = s
+                accumulate(k, rem, mono_mul(q_mono, m2), k.mul(minus_q_c, c2))
         return Poly(self.ring, quot)
 
     # -- rendering
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         k = self.ring.field
-        one = k.from_int(1)
         minus_one = k.from_int(-1)
-        parts: list[tuple[str, str]] = []
+        pairs = []
         for mono in sorted(self.terms, key=DEGREVLEX.key, reverse=True):
             c = self.terms[mono]
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(self.ring.names[i])
-                elif e:
-                    factors.append(f"{self.ring.names[i]}^{e}")
-            sign = "+"
-            if sum(mono) and c == one:
-                cs = ""
-            elif sum(mono) and c == minus_one:
-                sign, cs = "-", ""
-            else:
-                cs = k.to_str(c)
-                if cs.startswith("-"):
-                    sign, cs = "-", cs[1:]
-                if " " in cs:
-                    cs = f"({cs})"
-            body = "*".join(([cs] if cs else []) + factors)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            factors = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.ring.names, mono)
+                if e
+            )
+            # F_p prints -1 as p - 1; the text -1 keeps -x rather than 6*x in F_7
+            cs = "-1" if factors and c == minus_one else k.to_str(c)
+            pairs.append((cs, factors))
+        return join_terms(pairs)
 
     def __repr__(self) -> str:
         return str(self)

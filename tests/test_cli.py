@@ -157,6 +157,23 @@ def test_point_not_on_locus_message(capsys):
         "x - 1",
     )
     assert code == 1 and err.startswith("a1deg: input:")
+    # the message prints the polynomial, whose coefficient keeps its minus
+    code, out, err = run(
+        capsys,
+        "local",
+        "--field",
+        "Q(t)",
+        "--vars",
+        "x,y",
+        "--system",
+        "(1-t)*x + y^2 + 1; y",
+        "--point",
+        "x; y",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "a1deg: input: y^2 + (-t + 1)*x + 1 does not vanish at the given point\n"
+    )
 
 
 def test_nonsquare_system_message(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import isqrt, prod
@@ -210,8 +211,21 @@ def test_arithmetic():
     assert h * GWClass.of(QQ, units=[5]) == h
     assert h * h == GWClass(QQ, 2, ())
     assert (h + one) * (h + one) == GWClass.of(QQ, 4, units=[1])
-    assert 3 * one == GWClass.of(QQ, units=[1, 1, 1])
+    assert 3 * one == one * 3 == GWClass.of(QQ, units=[1, 1, 1])
     assert (3 * one).rank == 3
+    assert 0 * one == one * 0 == GWClass(QQ, 0, ())
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "x"])
+def test_non_class_operands_are_type_errors(bad):
+    one = GWClass.of(QQ, units=[1])
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(one, bad)
+        with pytest.raises(TypeError):
+            op(bad, one)
+    with pytest.raises(TypeError):
+        one + 0
 
 
 def test_invariants_respect_operations():

@@ -39,6 +39,17 @@ def rand_poly(rng, ring, max_deg=3, terms=4):
     return p
 
 
+def test_variable_index_out_of_range():
+    R = PolyRing(QQ, ["x", "y"])
+    assert R.var(1) == R.var("y")
+    assert R.parse("x^3*y").diff(1) == R.parse("x^3")
+    for bad in (2, 5, -1, "z"):
+        with pytest.raises(ValueError):
+            R.var(bad)
+        with pytest.raises(ValueError):
+            R.parse("x^3*y").diff(bad)
+
+
 def test_ring_construction_errors():
     with pytest.raises(ValueError):
         PolyRing(QQ, [])
@@ -145,6 +156,19 @@ def test_substitute_across_rings():
         p.substitute({"x": PolyRing(GF(5), ["X"]).var("X")})
 
 
+def test_substitute_checks_the_images_of_occurring_variables():
+    R = PolyRing(QQ, ["x", "y", "z"])
+    D = PolyRing(QQ, ["X", "Y"])
+    p = R.parse("x^2*y - y + 3")
+    # z does not occur, so it needs no image
+    assert p.substitute({"x": D.var("X"), "y": 2}) == D.parse("2*X^2 + 1")
+    assert R.parse("7").substitute({}) == R.const(7)
+    with pytest.raises(MissingAssignmentError):
+        p.substitute({"x": D.var("X")})
+    with pytest.raises(RingMismatchError):
+        p.substitute({"x": D.var("X"), "y": PolyRing(QQ, ["y"]).var("y")})
+
+
 def test_diff():
     R = PolyRing(QQ, ["x", "y"])
     assert R.parse("x^3*y").diff("x") == R.parse("3*x^2*y")
@@ -183,6 +207,34 @@ def test_function_field_coefficient_rendering():
     p = S.parse("(t+1)*x^2 - t")
     assert str(p) == "(t + 1)*x^2 - t"
     assert S.parse(str(p)) == p
+    # a coefficient of several terms keeps its own minus
+    assert str(S.parse("-(t+1)*x^2 - t")) == "(-t - 1)*x^2 - t"
+    assert str(PolyRing(K, ["x", "y"]).parse("(1-t)*x + y^2 + 1")) == (
+        "y^2 + (-t + 1)*x + 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, GF(7), FunctionField(QQ, "t"), FunctionField(GF(5), "t")],
+    ids=str,
+)
+def test_printed_polynomials_parse_back(field):
+    """Coefficients a + b*t, some divided by t + c (by c over a prime or
+    the rational field), print so that the parser reads them back: a
+    coefficient of several terms keeps its own sign in its parentheses."""
+    rng = random.Random(f"round trip {field}")
+    ring = PolyRing(field, ["x", "y"])
+    t = field.gen() if isinstance(field, FunctionField) else field.zero
+    for _ in range(300):
+        p = ring.zero
+        for _ in range(4):
+            c = field.scalar(rng.randint(-3, 3)) + rng.randint(-3, 3) * t
+            if rng.random() < 0.3:
+                c = c / (t + rng.randint(1, 4))
+            mono = (rng.randrange(3), rng.randrange(3))
+            p = p + ring.const(c) * ring.monomial(mono)
+        assert ring.parse(str(p)) == p, str(p)
 
 
 def test_parser_errors():
